@@ -205,6 +205,62 @@ TEST(ParallelPreprocessTest, WidthOneCostMatchesSequential) {
   EXPECT_EQ(par4b.preprocess_cost, par4.preprocess_cost);
 }
 
+/// String/UDF variant of the filter-heavy workload: every table carries a
+/// STRING column that spans several 4096-row morsels and a registered
+/// string UDF, so the parallel filter reads the shared StringPool from
+/// every morsel worker at once.
+void BuildStringUdfDb(Database* db, int m, int64_t rows) {
+  ASSERT_TRUE(db->udfs()
+                  ->Register("str_after", 2, DataType::kInt64,
+                             [](const std::vector<Value>& a) {
+                               if (a[0].is_null() || a[1].is_null()) {
+                                 return Value::Bool(false);
+                               }
+                               return Value::Bool(a[0].AsString() >
+                                                  a[1].AsString());
+                             })
+                  .ok());
+  for (int t = 0; t < m; ++t) {
+    const std::string name = "s" + std::to_string(t);
+    ASSERT_TRUE(
+        db->Execute("CREATE TABLE " + name + " (k INT, d STRING)").ok());
+    Table* table = db->catalog()->FindTable(name);
+    ASSERT_NE(table, nullptr);
+    StringPool* pool = db->catalog()->string_pool();
+    for (int64_t r = 0; r < rows; ++r) {
+      table->mutable_column(0)->AppendInt((r * (t + 5) + r / 7) % 512);
+      table->mutable_column(1)->AppendString(
+          "d" + std::to_string(1000 + (r * 31 + t) % 900), pool);
+      table->CommitRow();
+    }
+  }
+}
+
+constexpr const char* kStringUdfQuery =
+    "SELECT COUNT(*) FROM s0, s1, s2 WHERE s0.k = s1.k AND s1.d = s2.d "
+    "AND str_after(s0.d, 'd1300') AND str_after(s1.d, 'd1450') "
+    "AND str_after(s2.d, 'd1100')";
+
+// The bit-identity and width-1 cost anchors over string columns and UDF
+// predicates: the parallel filter's pool reads must not change a byte.
+TEST(ParallelPreprocessTest, StringUdfArtifactsBitIdenticalAcrossWidths) {
+  Database db;
+  BuildStringUdfDb(&db, 3, 20000);  // 5 morsels per table
+
+  PreparedProbe seq =
+      ProbePrepare(&db, kStringUdfQuery, /*parallel=*/false, 1);
+  ASSERT_EQ(seq.artifact_fp.size(), 3u);
+  EXPECT_GT(seq.preprocess_cost, 0u);
+  for (int threads : {1, 2, 4, 8}) {
+    PreparedProbe par =
+        ProbePrepare(&db, kStringUdfQuery, /*parallel=*/true, threads);
+    EXPECT_EQ(par.artifact_fp, seq.artifact_fp) << threads << " workers";
+    if (threads == 1) {
+      EXPECT_EQ(par.preprocess_cost, seq.preprocess_cost);
+    }
+  }
+}
+
 // Mask-aware morsel filtering (PR 7) must be free for fully-valid tables:
 // a DELETE that matches nothing allocates no validity mask, so the scan
 // takes the exact pre-mutation path and charges the exact pre-mutation

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "exec/prepared_query.h"
 #include "storage/catalog.h"
 
@@ -34,6 +39,47 @@ TEST(StringPoolTest, StableAcrossGrowth) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(pool.Get(ids[static_cast<size_t>(i)]), "s" + std::to_string(i));
     EXPECT_EQ(pool.Lookup("s" + std::to_string(i)), ids[static_cast<size_t>(i)]);
+  }
+}
+
+TEST(StringPoolTest, ConcurrentInternAndGet) {
+  // One writer interns distinct strings across many segment boundaries
+  // while readers Get every id visible so far; Get takes no lock, so this
+  // pins the segment publication order (and is a TSan target). Half the
+  // readers learn ids through the writer's own atomic counter, half only
+  // through size(): both visibility paths of the contract.
+  constexpr int kStrings = 200000;
+  constexpr int kReaders = 4;
+  StringPool pool;
+  std::vector<int32_t> ids(kStrings, -1);
+  std::atomic<int> published{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    const bool via_size = (t % 2) == 1;
+    readers.emplace_back([&, via_size] {
+      int seen = 0;
+      while (seen < kStrings) {
+        const int upto = via_size ? static_cast<int>(pool.size())
+                                  : published.load(std::memory_order_acquire);
+        for (; seen < upto; ++seen) {
+          // Ids are dense from 0, so a size()-reader knows id == seen.
+          const int32_t id = via_size ? seen : ids[static_cast<size_t>(seen)];
+          if (pool.Get(id) != "str" + std::to_string(seen)) ++mismatches;
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kStrings; ++i) {
+    ids[static_cast<size_t>(i)] = pool.Intern("str" + std::to_string(i));
+    published.store(i + 1, std::memory_order_release);
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  ASSERT_EQ(pool.size(), static_cast<size_t>(kStrings));
+  for (int i = 0; i < kStrings; ++i) {
+    ASSERT_EQ(ids[static_cast<size_t>(i)], i);
+    ASSERT_EQ(pool.Lookup("str" + std::to_string(i)), i);
   }
 }
 
