@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke test for skinner_serve: start the server on an ephemeral port,
-# drive a scripted client session over TCP (DDL, query, prepared
-# statement, stats), issue SHUTDOWN, and assert the server drains and
-# exits cleanly with the expected responses.
+# drive a scripted client session over TCP (DDL, query, cached query
+# repeated across an INSERT, prepared statement, stats), issue SHUTDOWN,
+# and assert the server drains and exits cleanly with the expected
+# responses.
 #
 #   scripts/server_smoke.sh [path/to/skinner_serve]
 set -euo pipefail
@@ -54,6 +55,10 @@ fi
 PING
 X CREATE TABLE u (v INT)
 X INSERT INTO u VALUES (10), (20)
+Q SELECT COUNT(*), SUM(u.v) FROM t, u WHERE t.a = 1
+Q SELECT COUNT(*), SUM(u.v) FROM t, u WHERE t.a = 1
+X INSERT INTO u VALUES (30)
+Q SELECT COUNT(*), SUM(u.v) FROM t, u WHERE t.a = 1
 Q SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b
 P s SELECT a FROM t WHERE b = ? ORDER BY a
 E s 'x'
@@ -82,6 +87,14 @@ expect() {
     exit 1
   fi
 }
+# Sessions cache prepared artifacts: the repeated literal query is served
+# from the cache, and the INSERT invalidates u's artifact only.
+if [ "$(grep -cF "ROW 2	30" "$WORK/client.out")" != 2 ]; then
+  echo "FAIL: the repeated cached query did not answer 'ROW 2	30' twice" >&2
+  cat "$WORK/client.out" >&2
+  exit 1
+fi
+expect 'ROW 3	60'
 expect 'ROW x	2'
 expect 'ROW y	1'
 expect 'OK rows=2'

@@ -69,11 +69,13 @@ struct ExecOptions {
   int num_threads = 4;
 
   /// Serve pre-processing (filtering + index builds) from the database's
-  /// cross-query PreparedCache when an identical (normalized signature +
-  /// table data versions) SELECT was prepared before; a hit reports
-  /// preprocess_cost 0 and returns bit-identical results. Off by default:
-  /// the paper-reproduction benchmarks charge pre-processing per query.
-  /// QueryBatch() always shares prepared state across its items.
+  /// cross-query PreparedCache, one artifact per FROM table: a table whose
+  /// artifact was built for the same normalized signature at the same
+  /// data version is not filtered or indexed again, and only the tables
+  /// actually built are charged. Results are bit-identical either way.
+  /// Off by default: the paper-reproduction benchmarks charge
+  /// pre-processing per query. QueryBatch() always shares prepared state
+  /// across its items.
   bool use_prepared_cache = false;
   /// On cache interaction, seed Skinner-C's UCT priors from the
   /// signature's last final join order (see SkinnerCOptions).
@@ -92,8 +94,8 @@ struct ExecOptions {
   /// scheduler — the right choice for everything but tests that need an
   /// isolated pool. Results never depend on the pool used.
   Scheduler* scheduler = nullptr;
-  /// Serve reads from the PreparedCache but never publish new artifacts or
-  /// bundles into it (warm-start orders are still recorded — they are a
+  /// Serve reads from the PreparedCache but never publish new artifacts
+  /// into it (warm-start orders are still recorded — they are a
   /// few ints). The server flips this once a session exhausts its cache
   /// byte-share quota, so one greedy session cannot evict everyone else's
   /// artifacts; results are unchanged, repeated work just stays unshared.
@@ -104,18 +106,19 @@ struct ExecOptions {
 struct ExecutionStats {
   double wall_ms = 0;
   uint64_t total_cost = 0;       // virtual units: preprocessing + join
-  uint64_t preprocess_cost = 0;  // 0 when served from the PreparedCache
-  /// True when pre-processing was served entirely from the PreparedCache
-  /// (whole-bundle hit, or a PreparedStatement execution where every
-  /// table's artifact was cached).
+  /// Virtual units of pre-processing: the tables built for this execution
+  /// (cached ones cost nothing) plus constant-predicate evaluation.
+  uint64_t preprocess_cost = 0;
+  /// True when every FROM table's artifact was served from the
+  /// PreparedCache.
   bool prepared_from_cache = false;
   /// True when a warm-start join order keyed by this query's (parameter-
   /// abstracted) template signature was found in the cache — i.e. this is
   /// execution >= 2 of the template and UCT was (or could be) seeded.
   bool template_signature_hit = false;
-  /// Per-table artifact provenance (PreparedStatement path; the Query()
-  /// bundle path reports all-or-nothing): how many FROM tables reused a
-  /// cached artifact vs were re-prepared for this execution.
+  /// Per-table artifact provenance of a cached prepare: how many FROM
+  /// tables reused a cached artifact vs were re-prepared for this
+  /// execution.
   int tables_prepared_from_cache = 0;
   int tables_reprepared = 0;
   /// Bytes of freshly built artifacts this execution published into the
@@ -187,6 +190,10 @@ struct BatchOptions {
   /// dedicated threads — no per-call pool is ever spun up.
   Scheduler* scheduler = nullptr;
 };
+
+/// The execution seed of batch item `i` when BatchOptions::derive_item_seeds
+/// is set (`batch_seed` already carries the session's derivation).
+uint64_t BatchItemSeed(uint64_t batch_seed, size_t i);
 
 class Session;
 
@@ -279,10 +286,11 @@ class Database {
                             const ExecOptions& opts = {});
 
   /// Executes many SELECTs, `opts.num_workers` at a time, sharing cached
-  /// pre-processing artifacts across items (an artifact is built once per
-  /// distinct query template and reused by every item — and, with
-  /// use_prepared_cache, by later queries too). Results are per item, in
-  /// item order, and bit-identical for any worker count. Items must be
+  /// pre-processing artifacts across items: items prepare in item order,
+  /// so the first item of a template builds its tables' artifacts and
+  /// every later one reuses them (with use_prepared_cache, later queries
+  /// too). Results are per item, in item order, and bit-identical for any
+  /// worker count. Items must be
   /// SELECTs; running DML concurrently with a batch is outside the API
   /// contract (as for Query()).
   std::vector<Result<QueryOutput>> QueryBatch(
@@ -292,8 +300,8 @@ class Database {
   /// re-execute one query under many engines).
   Result<std::unique_ptr<BoundQuery>> Bind(const std::string& sql);
 
-  /// Runs an already-bound SELECT. Never touches the PreparedCache (the
-  /// cache must own its bundles; here the caller owns the query).
+  /// Runs an already-bound SELECT, always preparing fresh (never through
+  /// the PreparedCache).
   Result<QueryOutput> RunSelect(const BoundQuery& query,
                                 const ExecOptions& opts = {});
 
@@ -304,10 +312,6 @@ class Database {
  private:
   friend class Session;
   friend class PreparedStatement;
-
-  /// The batch engine Session::QueryBatch runs on (seed already derived).
-  std::vector<Result<QueryOutput>> QueryBatchInternal(
-      const std::vector<BatchItem>& items, const BatchOptions& opts);
 
   /// Computes, applies and logs one bound UPDATE/DELETE, returning the
   /// rows_affected result row + stats. Caller must hold ddl_mu_ exclusive

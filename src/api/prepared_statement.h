@@ -10,6 +10,7 @@
 
 namespace skinner {
 
+class QueryPipeline;
 struct PreparedStage;
 
 /// A `?`-parameterized SELECT template, parsed and bound once by
@@ -42,9 +43,8 @@ struct PreparedStage;
 /// the SELECT-side caching machinery above applies.
 ///
 /// Thread-safety: like a driver statement handle, one execution at a
-/// time per statement (string parameters intern into the shared pool);
-/// use Session::ExecuteBatch for concurrency — it serializes binding and
-/// parallelizes execution.
+/// time per statement; use Session::ExecuteBatch for concurrency — it
+/// prepares the parameter sets in order and parallelizes execution.
 class PreparedStatement {
  public:
   PreparedStatement(const PreparedStatement&) = delete;
@@ -89,13 +89,15 @@ class PreparedStatement {
   Status CheckFreshness() const;
 
   /// Builds the per-execution stage: substitutes params into a clone of
-  /// the template, acquires/builds per-table artifacts through the cache,
-  /// and assembles a PreparedStage for the pipeline's execute stage.
+  /// the template and hands it to `pipeline`'s cached prepare, keyed by
+  /// the template signature and each table's parameter values.
   Result<PreparedStage> PrepareStage(const std::vector<Value>& params,
-                                     const ExecOptions& opts) const;
+                                     const ExecOptions& opts,
+                                     const QueryPipeline& pipeline) const;
 
-  /// Batch core used by Session::ExecuteBatch: sequential prepare (string
-  /// interning + artifact builds), concurrent execute/post-process.
+  /// Batch core used by Session::ExecuteBatch (QueryPipeline::RunBatch):
+  /// sequential prepare in param-set order, concurrent execute and
+  /// post-process.
   std::vector<Result<QueryOutput>> ExecuteMany(
       const std::vector<std::vector<Value>>& param_sets,
       const BatchOptions& bopts, const ExecOptions& base_opts);

@@ -1,6 +1,7 @@
 #include "api/query_pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/scheduler.h"
@@ -36,113 +37,153 @@ Result<BoundStage> QueryPipeline::Bind(Statement stmt) const {
   return stage;
 }
 
-Result<PreparedStage> QueryPipeline::PrepareFresh(
-    std::unique_ptr<BoundQuery> owned_query, const BoundQuery* query,
+namespace {
+
+Status RejectParams(const BoundQuery& query) {
+  if (query.num_params == 0) return Status::OK();
+  return Status::InvalidArgument(
+      "query contains ? parameters; prepare it with Session::Prepare and "
+      "execute it with bound values");
+}
+
+}  // namespace
+
+PrepareOptions QueryPipeline::MakePrepareOptions(
     const ExecOptions& opts) const {
-  // The bundle is allocated first and filled in place so that every
-  // pointer the PreparedQuery view captures (query, info) is already at
-  // its final, stable address.
-  auto bundle = std::make_shared<PreparedBundle>();
-  bundle->bound = std::move(owned_query);
-  if (bundle->bound != nullptr) query = bundle->bound.get();
-
-  if (query->num_params > 0) {
-    return Status::InvalidArgument(
-        "query contains ? parameters; prepare it with Session::Prepare and "
-        "execute it with bound values");
-  }
-
-  PreparedStage stage;
-  stage.clock = std::make_unique<VirtualClock>();
-
-  SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*query));
-  bundle->info = std::make_unique<QueryInfo>(std::move(info));
-
   PrepareOptions popts;
   popts.build_hash_indexes = opts.build_hash_indexes;
   popts.parallel = opts.parallel_preprocess;
   popts.num_threads = opts.num_threads;
   popts.scheduler = EffectiveScheduler(opts);
-  SKINNER_ASSIGN_OR_RETURN(
-      stage.pq,
-      PreparedQuery::Prepare(query, bundle->info.get(),
-                             catalog_->string_pool(), stage.clock.get(),
-                             popts));
-  bundle->data = stage.pq->shared_data();
-  stage.shared = std::move(bundle);
-  stage.preprocess_cost = stage.pq->preprocess_cost();
-  return stage;
+  return popts;
 }
 
-PreparedStage QueryPipeline::RebindStage(PreparedHandle handle,
-                                         std::string signature) const {
+Result<PreparedStage> QueryPipeline::PrepareFresh(
+    std::unique_ptr<BoundQuery> owned_query, const BoundQuery* query,
+    const ExecOptions& opts) const {
   PreparedStage stage;
+  stage.bound = std::move(owned_query);
+  if (stage.bound != nullptr) query = stage.bound.get();
   stage.clock = std::make_unique<VirtualClock>();
-  stage.signature = std::move(signature);
-  stage.cache_hit = true;
-  stage.preprocess_cost = 0;  // the artifact is already built
-  stage.tables_from_cache =
-      static_cast<int>(handle->data != nullptr ? handle->data->tables.size() : 0);
-  stage.pq = PreparedQuery::Rebind(handle->bound.get(), handle->info.get(),
-                                   catalog_->string_pool(),
-                                   stage.clock.get(), handle->data);
-  stage.shared = std::move(handle);
+  SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*query));
+  stage.info = std::make_unique<QueryInfo>(std::move(info));
+  SKINNER_ASSIGN_OR_RETURN(
+      stage.pq,
+      PreparedQuery::Prepare(query, stage.info.get(), catalog_->string_pool(),
+                             stage.clock.get(), MakePrepareOptions(opts)));
+  stage.preprocess_cost = stage.pq->preprocess_cost();
   return stage;
 }
 
 Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
                                              const ExecOptions& opts) const {
-  const bool caching = opts.use_prepared_cache && cache_ != nullptr;
-  if (!caching) {
+  SKINNER_RETURN_IF_ERROR(RejectParams(*bound.query));
+  if (!opts.use_prepared_cache || cache_ == nullptr) {
     return PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
   }
-  std::string signature = ComputeQuerySignature(*bound.query);
-  std::string key = PreparedCacheKey(signature, opts.build_hash_indexes);
-  std::vector<TableStamp> stamps = ComputeTableStamps(*bound.query);
-  if (opts.cache_read_only) {
-    // Quota-throttled sessions: serve hits, but a miss prepares privately
-    // — no claim, no publish, no bytes charged to the shared budget.
-    PreparedHandle hit = cache_->Lookup(key, stamps);
-    if (hit != nullptr) {
-      PreparedStage stage = RebindStage(std::move(hit), signature);
-      std::vector<int> warm = cache_->WarmOrder(stage.signature);
-      stage.template_hit = !warm.empty();
-      if (opts.warm_start) stage.warm_order = std::move(warm);
-      return stage;
+  PreparedStage stage;
+  stage.bound = std::move(bound.query);
+  stage.signature = bound.template_signature.empty()
+                        ? ComputeQuerySignature(*stage.bound)
+                        : std::move(bound.template_signature);
+  stage.clock = std::make_unique<VirtualClock>();
+  SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*stage.bound));
+  stage.info = std::make_unique<QueryInfo>(std::move(info));
+
+  // Per-table artifacts through the cache, following its claim-all
+  // protocol: try-acquire every table's claim up front (never blocking),
+  // build and publish every owned claim, and only then wait on other
+  // executions' in-flight builds. Deadlock-free because no execution ever
+  // blocks while holding an unpublished claim, and concurrent because an
+  // m-table join's artifacts build together instead of one at a time.
+  const int m = stage.bound->num_tables();
+  bound.table_param_values.resize(static_cast<size_t>(m));  // literal: all ""
+  const std::vector<const Table*> tables = stage.bound->TablePtrs();
+  const StringPool* pool = catalog_->string_pool();
+  PrepareOptions popts = MakePrepareOptions(opts);
+  std::vector<std::shared_ptr<const TableArtifact>> reuse(
+      static_cast<size_t>(m));
+  struct Claim {
+    std::string key;
+    TableStamp stamp;
+    std::shared_ptr<void> pending;  // another execution's in-flight token
+  };
+  std::vector<Claim> claims(static_cast<size_t>(m));
+  std::vector<int> owned;  // tables this execution builds
+  uint64_t built_cost = 0;
+  // A false constant predicate (possibly through a bound value: `? = 1`)
+  // makes the whole query trivially empty; claim nothing and let
+  // PreparedQuery::Prepare take its data-free early exit, like the
+  // uncached path, which never scans a table for it either. The probe's
+  // cost is not charged; Prepare re-evaluates and charges it.
+  VirtualClock probe_clock;
+  if (ConstantPredsHold(*stage.info, tables, pool, &probe_clock)) {
+    for (int t = 0; t < m; ++t) {
+      const size_t i = static_cast<size_t>(t);
+      Claim& c = claims[i];
+      c.key = TableArtifactKey(stage.signature, t, opts.build_hash_indexes,
+                               bound.table_param_values[i]);
+      c.stamp = TableStamp{tables[i]->id(), tables[i]->data_version()};
+      if (opts.cache_read_only) {
+        // Quota-throttled: serve hits, build misses privately, publish
+        // nothing (no shared-budget bytes charged to this session).
+        reuse[i] = cache_->LookupTable(c.key, c.stamp);
+      } else {
+        PreparedCache::TableTryClaim claim =
+            cache_->TryAcquireTable(c.key, c.stamp);
+        reuse[i] = std::move(claim.artifact);
+        c.pending = std::move(claim.pending);
+      }
+      if (reuse[i] != nullptr) {
+        ++stage.tables_from_cache;
+      } else if (c.pending == nullptr) {
+        owned.push_back(t);
+      }
     }
-    auto prep = PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
-    if (!prep.ok()) return prep.status();
-    PreparedStage stage = prep.MoveValue();
-    stage.signature = std::move(signature);
-    stage.tables_reprepared = stage.pq->num_tables();
-    std::vector<int> warm = cache_->WarmOrder(stage.signature);
-    stage.template_hit = !warm.empty();
-    if (opts.warm_start) stage.warm_order = std::move(warm);
-    return stage;
   }
-  PreparedCache::BundleClaim claim = cache_->Acquire(key, stamps);
-  if (claim.handle != nullptr) {
-    PreparedStage stage = RebindStage(std::move(claim.handle), signature);
-    std::vector<int> warm = cache_->WarmOrder(signature);
-    stage.template_hit = !warm.empty();
-    if (opts.warm_start) stage.warm_order = std::move(warm);
-    return stage;
+  const auto build = [&](const std::vector<int>& ts) {
+    TableArtifactBuild b =
+        BuildTableArtifacts(tables, pool, *stage.info, ts, popts);
+    built_cost += b.cost;
+    for (size_t i = 0; i < ts.size(); ++i) {
+      const Claim& c = claims[static_cast<size_t>(ts[i])];
+      if (!opts.cache_read_only) {
+        cache_->PublishTable(c.key, c.stamp, b.artifacts[i]);
+        stage.cache_bytes_published += b.artifacts[i]->bytes();
+      }
+      reuse[static_cast<size_t>(ts[i])] = std::move(b.artifacts[i]);
+      ++stage.tables_reprepared;
+    }
+  };
+  build(owned);
+  // Redeem the in-flight tokens. Safe to block now — all our claims are
+  // published. A wait can still hand back builder=true (the other
+  // execution abandoned, or republished under different stamps); build
+  // and publish that table here then.
+  for (int t = 0; t < m; ++t) {
+    Claim& c = claims[static_cast<size_t>(t)];
+    if (c.pending == nullptr) continue;
+    PreparedCache::TableClaim claim =
+        cache_->WaitTable(c.key, c.stamp, c.pending);
+    if (claim.builder) {
+      build({t});
+    } else {
+      reuse[static_cast<size_t>(t)] = std::move(claim.artifact);
+      ++stage.tables_from_cache;
+    }
   }
-  // This call owns the build: every concurrent Prepare of the same key is
-  // now blocked in Acquire until we Publish (or Abandon on failure).
-  auto prep = PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
-  if (!prep.ok()) {
-    cache_->Abandon(key);
-    return prep.status();
-  }
-  PreparedStage stage = prep.MoveValue();
-  stage.signature = std::move(signature);
-  stage.tables_reprepared = stage.pq->num_tables();
-  if (stage.shared->data != nullptr) {
-    stage.cache_bytes_published = stage.shared->data->bytes();
-  }
-  cache_->Publish(key, std::move(stamps), stage.shared);
-  // A previous (since invalidated) execution of the template may still
+
+  popts.reuse = &reuse;
+  SKINNER_ASSIGN_OR_RETURN(
+      stage.pq, PreparedQuery::Prepare(stage.bound.get(), stage.info.get(),
+                                       pool, stage.clock.get(), popts));
+  // The clock so far carries the constant-predicate evaluation only (all
+  // artifacts were passed in); charge this execution for the tables it
+  // actually built.
+  stage.clock->Tick(built_cost);
+  stage.preprocess_cost = stage.clock->now();
+  stage.cache_hit = stage.tables_from_cache == m;
+  // A previous (possibly since invalidated) execution of the template may
   // have left a useful join order behind.
   std::vector<int> warm = cache_->WarmOrder(stage.signature);
   stage.template_hit = !warm.empty();
@@ -152,6 +193,7 @@ Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
 
 Result<PreparedStage> QueryPipeline::PrepareExternal(
     const BoundQuery* query, const ExecOptions& opts) const {
+  SKINNER_RETURN_IF_ERROR(RejectParams(*query));
   return PrepareFresh(nullptr, query, opts);
 }
 
@@ -310,6 +352,34 @@ Result<QueryOutput> QueryPipeline::Run(const std::string& sql,
                            Prepare(std::move(bound), opts));
   SKINNER_ASSIGN_OR_RETURN(ExecutedStage exec, Execute(prep, opts));
   return PostProcess(prep, std::move(exec));
+}
+
+std::vector<Result<QueryOutput>> QueryPipeline::RunBatch(
+    const std::vector<ExecOptions>& opts, int num_workers,
+    const std::function<Result<PreparedStage>(size_t)>& prepare) const {
+  const size_t n = opts.size();
+  std::vector<Result<QueryOutput>> results(
+      n, Result<QueryOutput>(Status::Internal("batch item not executed")));
+  std::vector<std::optional<PreparedStage>> stages(n);
+  for (size_t i = 0; i < n; ++i) {
+    Result<PreparedStage> stage = prepare(i);
+    if (stage.ok()) {
+      stages[i] = stage.MoveValue();
+    } else {
+      results[i] = stage.status();
+    }
+  }
+  const int workers = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(std::max(num_workers, 1)),
+                       std::max<size_t>(n, 1)));
+  SchedParallelFor(scheduler_, n, workers, [&](size_t i) {
+    if (!stages[i].has_value()) return;  // prepare error
+    Result<ExecutedStage> exec = Execute(*stages[i], opts[i]);
+    results[i] = exec.ok() ? PostProcess(*stages[i], exec.MoveValue())
+                           : Result<QueryOutput>(exec.status());
+    stages[i].reset();  // release artifact handles promptly
+  });
+  return results;
 }
 
 }  // namespace skinner

@@ -1,6 +1,7 @@
 #ifndef SKINNER_API_QUERY_PIPELINE_H_
 #define SKINNER_API_QUERY_PIPELINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,32 +12,40 @@
 
 namespace skinner {
 
-/// Output of the bind stage: the fully resolved query. The cache identity
-/// (normalized signature + per-table data-version stamps) is derived from
-/// it on demand — by Prepare() when caching is on, and by QueryBatch for
-/// grouping — so the default uncached path pays no serialization.
+/// Output of the bind stage: the fully resolved query, plus the cache
+/// identity of a parameter-substituted template instance. A literal SELECT
+/// leaves both identity fields empty and is prepared as a zero-parameter
+/// template: Prepare() derives the signature from the query (only when
+/// caching is on, so the default uncached path pays no serialization) and
+/// keys every table's artifact with an empty value string.
 struct BoundStage {
   std::unique_ptr<BoundQuery> query;
+  /// Set by PreparedStatement: the parameter-abstracted template signature
+  /// and, per FROM table, the serialized values of the parameters reaching
+  /// that table's unary filters (see TableArtifactKey).
+  std::string template_signature;
+  std::vector<std::string> table_param_values;
 };
 
-/// Output of the prepare stage: the shared pre-processing artifact bundle
-/// plus everything per-execution — the virtual clock this execution ticks,
-/// the wall-clock stopwatch, and the warm-start hint. Movable; `pq` points
-/// at `clock`, which lives on the heap exactly so moves keep it stable.
+/// Output of the prepare stage: the query and its analysis, the
+/// per-execution view over the (possibly cached) per-table artifacts, the
+/// virtual clock this execution ticks, the wall-clock stopwatch, and the
+/// warm-start hint. Movable: `pq` points at `bound`, `info` and `clock`,
+/// which live on the heap exactly so moves keep them stable.
 struct PreparedStage {
-  PreparedHandle shared;               // keeps bound/info/data alive
-  std::unique_ptr<PreparedQuery> pq;   // per-execution view
+  std::unique_ptr<BoundQuery> bound;  // null when the caller owns the query
+  std::unique_ptr<QueryInfo> info;
+  std::unique_ptr<PreparedQuery> pq;  // per-execution view
   std::unique_ptr<VirtualClock> clock;
   Stopwatch watch;
-  std::string signature;               // empty: not cacheable (external query)
-  bool cache_hit = false;
-  uint64_t preprocess_cost = 0;        // 0 on a cache hit
+  std::string signature;               // empty: not cached
+  bool cache_hit = false;              // every table's artifact was cached
+  uint64_t preprocess_cost = 0;        // only the tables built here count
   std::vector<int> warm_order;         // UCT warm-start hint (may be empty)
   /// A warm-start order keyed by the template signature existed in the
   /// cache (reported even when opts.warm_start leaves it unused).
   bool template_hit = false;
-  /// Per-table artifact provenance (filled by the PreparedStatement path;
-  /// the bundle path reports all-or-nothing).
+  /// Per-table artifact provenance (cached prepares only).
   int tables_from_cache = 0;
   int tables_reprepared = 0;
   /// Artifact bytes this prepare published into the cross-query cache
@@ -57,15 +66,15 @@ struct ExecutedStage {
 ///
 /// Each stage consumes the previous stage's context object, so callers can
 /// run the stages back to back (Run(), which is what Database::Query does)
-/// or interleave the stages of many queries: Database::QueryBatch binds
-/// all items sequentially (string-literal interning mutates the shared
-/// pool), then prepares one artifact per distinct signature and executes
-/// all items concurrently against the shared artifacts.
+/// or interleave the stages of many queries: RunBatch() prepares every
+/// item in item order, then executes all items concurrently against the
+/// shared artifacts.
 ///
 /// The pipeline object itself is stateless apart from the injected
-/// components and is cheap to construct; Execute/PostProcess only touch
-/// thread-safe or per-stage state, so any number of pipelines over the
-/// same database may run prepare/execute/post-process stages in parallel.
+/// components and is cheap to construct. Stages over distinct stage
+/// objects may run concurrently (the string pool interns under its own
+/// lock), so any number of pipelines over the same database may run
+/// their stages in parallel.
 class QueryPipeline {
  public:
   /// `scheduler` hosts the pipeline's parallel work (parallel
@@ -80,31 +89,25 @@ class QueryPipeline {
   Result<Statement> Parse(const std::string& sql) const;
 
   /// Stage 2: parsed SELECT -> bound query. Interns string literals into
-  /// the catalog's pool (not thread-safe; serialize bind stages).
+  /// the catalog's pool.
   Result<BoundStage> Bind(Statement stmt) const;
 
-  /// Stage 3: bound query -> prepared stage. With opts.use_prepared_cache,
-  /// serves repeated signatures from the PreparedCache (preprocess_cost 0)
-  /// and registers fresh artifacts for reuse; invalidation is by table
-  /// data-version stamps. Concurrent Prepares of one signature coordinate
-  /// through the cache's in-flight build registry: one caller builds, the
-  /// rest block and share its artifact. Thread-safe. Parameterized
-  /// templates (num_params > 0) are rejected — only
-  /// PreparedStatement::Execute may run those.
+  /// Stage 3: bound query -> prepared stage. Without opts.use_prepared_cache
+  /// every table is filtered and indexed afresh. With it, every FROM
+  /// table's artifact goes through the PreparedCache under its
+  /// TableArtifactKey and data-version stamp, following the cache's
+  /// claim-all protocol: try-acquire every table's claim up front, build
+  /// and publish the owned ones, and only then wait on other executions'
+  /// in-flight builds. Only the tables built here are charged. Both ways
+  /// build through BuildTableArtifacts, so a table costs the same whether
+  /// or not it is cached. Thread-safe. Parameterized templates
+  /// (num_params > 0) are rejected — only PreparedStatement may run those.
   Result<PreparedStage> Prepare(BoundStage bound, const ExecOptions& opts) const;
 
   /// Stage 3 for an externally owned BoundQuery (Database::RunSelect):
-  /// always prepares fresh, never caches (the cache must own its bundles).
+  /// always prepares fresh, never caches.
   Result<PreparedStage> PrepareExternal(const BoundQuery* query,
                                         const ExecOptions& opts) const;
-
-  /// Stage 3 from an already shared bundle: a hit-style stage (no
-  /// filtering, preprocess_cost 0) over `handle`'s artifact. QueryBatch
-  /// hands every template-group member its owner's bundle this way, so
-  /// sharing inside a batch never depends on cache capacity or eviction
-  /// order. The handle must own its query (it came from Prepare).
-  PreparedStage RebindStage(PreparedHandle handle,
-                            std::string signature) const;
 
   /// Stage 4: runs the chosen engine over the prepared artifact; fills the
   /// engine counters. Records Skinner-C's final order as the signature's
@@ -121,10 +124,25 @@ class QueryPipeline {
   Result<QueryOutput> Run(const std::string& sql,
                           const ExecOptions& opts) const;
 
+  /// The batch runner of Session::QueryBatch and Session::ExecuteBatch:
+  /// `prepare(i)` runs for every item sequentially in item order, then
+  /// Execute + PostProcess run for every prepared item on up to
+  /// `num_workers` participation slots of the pipeline's scheduler.
+  /// Preparing in item order fixes which item pays each artifact build
+  /// (the first to claim a table's key) and which warm-start hint every
+  /// item sees, before anything executes — so per-item results and stats
+  /// are identical for any worker count. Results are per item, in order.
+  std::vector<Result<QueryOutput>> RunBatch(
+      const std::vector<ExecOptions>& opts, int num_workers,
+      const std::function<Result<PreparedStage>(size_t)>& prepare) const;
+
  private:
+  /// The uncached prepare of `owned_query`, or of `query` when the caller
+  /// owns it.
   Result<PreparedStage> PrepareFresh(std::unique_ptr<BoundQuery> owned_query,
                                      const BoundQuery* query,
                                      const ExecOptions& opts) const;
+  PrepareOptions MakePrepareOptions(const ExecOptions& opts) const;
 
   Scheduler* EffectiveScheduler(const ExecOptions& opts) const {
     return opts.scheduler != nullptr ? opts.scheduler : scheduler_;

@@ -1,12 +1,12 @@
 #include "api/session.h"
 
+#include <cstdint>
 #include <shared_mutex>
 #include <utility>
 
 #include "api/prepared_statement.h"
 #include "api/query_pipeline.h"
 #include "common/hash_util.h"
-#include "common/scheduler.h"
 
 namespace skinner {
 
@@ -68,19 +68,36 @@ Result<QueryOutput> Session::Query(const std::string& sql,
 
 std::vector<Result<QueryOutput>> Session::QueryBatch(
     const std::vector<BatchItem>& items, const BatchOptions& opts) {
-  BatchOptions bopts = opts;
-  bopts.seed = DeriveSeed(opts.seed);
-  std::vector<Result<QueryOutput>> results;
+  const uint64_t batch_seed = DeriveSeed(opts.seed);
   std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
-  if (!bopts.derive_item_seeds && id_ != 0) {
-    // Per-item seeds are kept, but the session id still folds in — two
-    // sessions running the identical batch must explore independently.
-    std::vector<BatchItem> derived = items;
-    for (BatchItem& item : derived) item.opts.seed = DeriveSeed(item.opts.seed);
-    results = db_->QueryBatchInternal(derived, bopts);
-  } else {
-    results = db_->QueryBatchInternal(items, bopts);
+  // Prepared-state sharing scope: the database's cross-query cache, or a
+  // cache that lives exactly as long as this batch. The batch-local one
+  // is unbounded — every item's stage holds its artifacts until it
+  // executes anyway — so capacity never breaks sharing inside a batch.
+  PreparedCache local_cache(SIZE_MAX);
+  PreparedCache* cache =
+      opts.use_prepared_cache ? db_->prepared_cache() : &local_cache;
+  Scheduler* sched =
+      opts.scheduler != nullptr ? opts.scheduler : db_->scheduler();
+  QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
+                         cache, sched);
+  std::vector<ExecOptions> eopts(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    eopts[i] = items[i].opts;
+    eopts[i].use_prepared_cache = true;  // within-batch sharing is the point
+    // Kept per-item seeds still fold in the session id: two sessions
+    // running the identical batch must explore independently.
+    eopts[i].seed = opts.derive_item_seeds
+                        ? BatchItemSeed(batch_seed, i)
+                        : DeriveSeed(items[i].opts.seed);
   }
+  std::vector<Result<QueryOutput>> results = pipeline.RunBatch(
+      eopts, opts.num_workers, [&](size_t i) -> Result<PreparedStage> {
+        SKINNER_ASSIGN_OR_RETURN(Statement stmt, pipeline.Parse(items[i].sql));
+        SKINNER_ASSIGN_OR_RETURN(BoundStage bound,
+                                 pipeline.Bind(std::move(stmt)));
+        return pipeline.Prepare(std::move(bound), eopts[i]);
+      });
   ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 
 namespace skinner {
 

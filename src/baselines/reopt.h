@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 #include "optimizer/dp_optimizer.h"
 #include "stats/estimator.h"
 

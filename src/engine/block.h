@@ -1,7 +1,7 @@
 #ifndef SKINNER_ENGINE_BLOCK_H_
 #define SKINNER_ENGINE_BLOCK_H_
 
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 
 namespace skinner {
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "common/str_util.h"
@@ -115,20 +114,6 @@ std::string ComputeQuerySignature(const BoundQuery& query) {
   return sig;
 }
 
-std::vector<TableStamp> ComputeTableStamps(const BoundQuery& query) {
-  std::vector<TableStamp> stamps;
-  stamps.reserve(query.tables.size());
-  for (const BoundTable& t : query.tables) {
-    stamps.push_back({t.table->id(), t.table->data_version()});
-  }
-  return stamps;
-}
-
-std::string PreparedCacheKey(const std::string& signature,
-                             bool build_hash_indexes) {
-  return signature + (build_hash_indexes ? "|P:i1" : "|P:i0");
-}
-
 std::string TableArtifactKey(const std::string& template_signature,
                              int table_idx, bool build_hash_indexes,
                              const std::string& param_values_sig) {
@@ -140,14 +125,6 @@ std::string TableArtifactKey(const std::string& template_signature,
 PreparedCache::PreparedCache(size_t max_bytes)
     : max_bytes_(max_bytes == 0 ? 1 : max_bytes) {}
 
-void PreparedCache::EvictLocked(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  bytes_used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
-}
-
 void PreparedCache::EvictTableLocked(const std::string& key) {
   auto it = table_entries_.find(key);
   if (it == table_entries_.end()) return;
@@ -156,130 +133,14 @@ void PreparedCache::EvictTableLocked(const std::string& key) {
   table_entries_.erase(it);
 }
 
-void PreparedCache::EvictLruLocked(LruList::iterator it) {
-  if (it->table) {
-    EvictTableLocked(it->key);
-  } else {
-    EvictLocked(it->key);
-  }
-}
-
 bool PreparedCache::ReserveLocked(size_t bytes) {
   if (bytes > max_bytes_) return false;
   while (bytes_used_ + bytes > max_bytes_ && !lru_.empty()) {
     ++size_evictions_;
-    EvictLruLocked(std::prev(lru_.end()));
+    const std::string victim = lru_.back();  // erased with its node
+    EvictTableLocked(victim);
   }
   return bytes_used_ + bytes <= max_bytes_;
-}
-
-// ---- whole-query bundles ---------------------------------------------
-
-PreparedHandle PreparedCache::Lookup(const std::string& key,
-                                     const std::vector<TableStamp>& stamps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (it->second.stamps != stamps) {
-    // Same template, different data (or a re-created table): the artifact
-    // is stale — drop it so the re-prepare can take its slot.
-    ++invalidations_;
-    ++misses_;
-    EvictLocked(key);
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.bundle;
-}
-
-void PreparedCache::InsertLocked(const std::string& key,
-                                 std::vector<TableStamp> stamps,
-                                 PreparedHandle bundle) {
-  if (bundle == nullptr) return;
-  EvictLocked(key);
-  const size_t bytes =
-      kEntryOverheadBytes + (bundle->data != nullptr ? bundle->data->bytes() : 0);
-  if (!ReserveLocked(bytes)) {
-    ++admission_rejected_;
-    return;
-  }
-  lru_.push_front(LruKey{false, key});
-  Entry e;
-  e.stamps = std::move(stamps);
-  e.bundle = std::move(bundle);
-  e.bytes = bytes;
-  e.lru_it = lru_.begin();
-  bytes_used_ += bytes;
-  entries_.emplace(key, std::move(e));
-}
-
-void PreparedCache::Insert(const std::string& key,
-                           std::vector<TableStamp> stamps,
-                           PreparedHandle bundle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(stamps), std::move(bundle));
-}
-
-PreparedCache::BundleClaim PreparedCache::Acquire(
-    const std::string& key, const std::vector<TableStamp>& stamps) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.stamps == stamps) {
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        return BundleClaim{it->second.bundle, false};
-      }
-      ++invalidations_;
-      EvictLocked(key);
-    }
-    auto inf = inflight_.find(key);
-    if (inf == inflight_.end()) {
-      ++misses_;
-      inflight_.emplace(key, std::make_shared<Inflight>());
-      return BundleClaim{nullptr, true};
-    }
-    // Block on the owner's build instead of re-preparing. The payload
-    // travels through the token so an eviction racing between Publish and
-    // this wake-up cannot strand us.
-    std::shared_ptr<Inflight> token = inf->second;
-    ++inflight_waits_;
-    token->cv.wait(lock, [&] { return token->done; });
-    if (token->bundle != nullptr && token->stamps == stamps) {
-      return BundleClaim{token->bundle, false};
-    }
-    // Abandoned, or built against different stamps: retry (and possibly
-    // become the builder ourselves).
-  }
-}
-
-void PreparedCache::Publish(const std::string& key,
-                           std::vector<TableStamp> stamps,
-                           PreparedHandle bundle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto inf = inflight_.find(key);
-  if (inf != inflight_.end()) {
-    inf->second->done = true;
-    inf->second->bundle = bundle;
-    inf->second->stamps = stamps;
-    inf->second->cv.notify_all();
-    inflight_.erase(inf);
-  }
-  InsertLocked(key, std::move(stamps), std::move(bundle));
-}
-
-void PreparedCache::Abandon(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto inf = inflight_.find(key);
-  if (inf == inflight_.end()) return;
-  inf->second->done = true;
-  inf->second->cv.notify_all();
-  inflight_.erase(inf);
 }
 
 // ---- per-table artifacts ---------------------------------------------
@@ -313,7 +174,7 @@ void PreparedCache::InsertTableLocked(const std::string& key,
     ++admission_rejected_;
     return;
   }
-  lru_.push_front(LruKey{true, key});
+  lru_.push_front(key);
   TableEntry e;
   e.stamp = stamp;
   e.artifact = std::move(artifact);
@@ -454,16 +315,12 @@ std::vector<int> PreparedCache::WarmOrder(const std::string& signature) const {
 PreparedCache::Stats PreparedCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.invalidations = invalidations_;
   s.table_hits = table_hits_;
   s.table_misses = table_misses_;
   s.table_invalidations = table_invalidations_;
   s.inflight_waits = inflight_waits_;
   s.admission_rejected = admission_rejected_;
   s.size_evictions = size_evictions_;
-  s.entries = entries_.size();
   s.table_entries = table_entries_.size();
   s.bytes_used = bytes_used_;
   s.max_bytes = max_bytes_;
@@ -472,7 +329,6 @@ PreparedCache::Stats PreparedCache::stats() const {
 
 void PreparedCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
   table_entries_.clear();
   lru_.clear();
   bytes_used_ = 0;

@@ -560,25 +560,9 @@ std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
   return {std::move(index), cost};
 }
 
-}  // namespace
-
-size_t TableArtifact::bytes() const {
-  size_t b = sizeof(TableArtifact) + filtered.capacity() * sizeof(int32_t);
-  for (const auto& [col, index] : indexes) {
-    (void)col;
-    b += sizeof(HashIndex) + index->bytes();
-  }
-  return b;
-}
-
-size_t PreparedQuery::Data::bytes() const {
-  size_t b = sizeof(Data) + tables.capacity() * sizeof(const Table*);
-  for (const auto& a : artifacts) {
-    if (a != nullptr) b += a->bytes();
-  }
-  return b;
-}
-
+/// Builds the artifact of table `t` for the analyzed query on the calling
+/// thread: filters by info.unary_preds(t), then (optionally) builds a hash
+/// index on each of t's equality-join columns over the survivors.
 std::shared_ptr<const TableArtifact> BuildTableArtifact(
     const std::vector<const Table*>& tables, const StringPool* pool,
     const QueryInfo& info, int t, bool build_hash_indexes) {
@@ -598,6 +582,17 @@ std::shared_ptr<const TableArtifact> BuildTableArtifact(
     }
   }
   return artifact;
+}
+
+}  // namespace
+
+size_t TableArtifact::bytes() const {
+  size_t b = sizeof(TableArtifact) + filtered.capacity() * sizeof(int32_t);
+  for (const auto& [col, index] : indexes) {
+    (void)col;
+    b += sizeof(HashIndex) + index->bytes();
+  }
+  return b;
 }
 
 uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs,
@@ -625,59 +620,141 @@ uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs,
   return makespan;
 }
 
-std::shared_ptr<const TableArtifact> BuildTableArtifactParallel(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes, Scheduler* sched,
-    int max_threads) {
-  if (sched == nullptr || max_threads <= 1) {
-    return BuildTableArtifact(tables, pool, info, t, build_hash_indexes);
+bool ConstantPredsHold(const QueryInfo& info,
+                       const std::vector<const Table*>& tables,
+                       const StringPool* pool, VirtualClock* clock) {
+  std::vector<int64_t> binding(tables.size(), 0);
+  EvalContext ctx;
+  ctx.tables = &tables;
+  ctx.pool = pool;
+  ctx.rows = binding.data();
+  ctx.clock = clock;
+  for (const PredInfo& p : info.constant_preds()) {
+    if (!EvalPredicate(*p.expr, ctx)) return false;
   }
-  auto artifact = std::make_shared<TableArtifact>();
-  const int64_t n = tables[static_cast<size_t>(t)]->num_rows();
-  const size_t morsels =
-      static_cast<size_t>((n + kFilterMorselRows - 1) / kFilterMorselRows);
-  const std::vector<const Expr*>& preds = info.unary_preds(t);
-  std::vector<std::pair<std::vector<int32_t>, uint64_t>> parts(morsels);
-  // Morsel-parallel filter scan; a table at most one morsel long runs on
-  // the caller thread without touching the dispatch queue.
-  sched->ParallelFor(
-      morsels, max_threads,
-      [&](size_t i) {
-        const int64_t begin = static_cast<int64_t>(i) * kFilterMorselRows;
-        const int64_t end = std::min(n, begin + kFilterMorselRows);
-        parts[i] = FilterMorsel(tables, pool, preds, t, begin, end);
-      },
-      /*min_grain=*/1);
-  // Concatenate in range order: bit-identical to the sequential scan, and
-  // morsel costs sum to exactly the sequential scan's cost.
-  size_t total = 0;
-  for (const auto& [rows, cost] : parts) total += rows.size();
-  artifact->filtered.reserve(total);
-  for (auto& [rows, cost] : parts) {
-    artifact->filtered.insert(artifact->filtered.end(), rows.begin(),
-                              rows.end());
-    artifact->build_cost += cost;
+  return true;
+}
+
+TableArtifactBuild BuildTableArtifacts(const std::vector<const Table*>& tables,
+                                       const StringPool* pool,
+                                       const QueryInfo& info,
+                                       const std::vector<int>& ts,
+                                       const PrepareOptions& opts) {
+  TableArtifactBuild out;
+  if (!opts.parallel || ts.empty()) {
+    for (int t : ts) {
+      out.artifacts.push_back(
+          BuildTableArtifact(tables, pool, info, t, opts.build_hash_indexes));
+      out.cost += out.artifacts.back()->build_cost;
+    }
+    return out;
   }
-  if (build_hash_indexes && !artifact->filtered.empty()) {
-    // Distinct columns stage concurrently (each into its own shard), and
-    // each column's Build() runs its partitioned phases on the same pool
-    // (ParallelFor nests safely — the caller participates).
-    const std::vector<int> cols = EquiJoinColumns(info, t);
-    std::vector<std::pair<std::unique_ptr<HashIndex>, uint64_t>> built(
-        cols.size());
-    sched->ParallelFor(
-        cols.size(), max_threads,
-        [&](size_t i) {
-          built[i] = BuildColumnIndex(tables, t, cols[i], artifact->filtered,
-                                      sched, max_threads);
-        },
-        /*min_grain=*/1);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      artifact->build_cost += built[i].second;
-      artifact->indexes.emplace(cols[i], std::move(built[i].first));
+  // Execution width is leased from the scheduler's engine budget (under
+  // concurrent sessions a build degrades to fewer workers); the charged
+  // cost below stays pinned to the CONFIGURED width, so costs never
+  // depend on who else was running.
+  ThreadLease lease;
+  int width = std::max(opts.num_threads, 1);
+  if (opts.scheduler != nullptr && opts.num_threads > 1) {
+    lease = opts.scheduler->LeaseThreads(opts.num_threads);
+    width = std::max(1, lease.granted());
+  }
+  // Phase A: one job per (table, morsel) across EVERY table to build, so a
+  // lone large table still splits and small tables cannot straggle.
+  struct FilterJob {
+    size_t slot;  // index into `ts`
+    int64_t begin;
+    int64_t end;
+    std::vector<int32_t> rows;
+    uint64_t cost = 0;
+  };
+  std::vector<FilterJob> jobs;
+  std::vector<std::shared_ptr<TableArtifact>> built(ts.size());
+  int64_t total_rows = 0;
+  for (size_t slot = 0; slot < ts.size(); ++slot) {
+    built[slot] = std::make_shared<TableArtifact>();
+    const int64_t n = tables[static_cast<size_t>(ts[slot])]->num_rows();
+    total_rows += n;
+    for (int64_t b = 0; b < n; b += kFilterMorselRows) {
+      jobs.push_back(
+          FilterJob{slot, b, std::min(n, b + kFilterMorselRows), {}, 0});
     }
   }
-  return artifact;
+  // When the whole workload is under one morsel of rows, dispatching it
+  // would cost more than scanning it: run every job on this thread.
+  const size_t filter_grain =
+      total_rows <= kFilterMorselRows ? jobs.size() : size_t{1};
+  SchedParallelFor(
+      opts.scheduler, jobs.size(), width,
+      [&](size_t i) {
+        FilterJob& job = jobs[i];
+        const int t = ts[job.slot];
+        auto [rows, cost] = FilterMorsel(tables, pool, info.unary_preds(t), t,
+                                         job.begin, job.end);
+        job.rows = std::move(rows);
+        job.cost = cost;
+      },
+      filter_grain);
+  // Concatenate in (table, range) order — bit-identical to sequential
+  // scans — and collect per-morsel costs for the makespan model.
+  std::vector<uint64_t> filter_costs;
+  filter_costs.reserve(jobs.size());
+  for (FilterJob& job : jobs) {
+    TableArtifact& a = *built[job.slot];
+    a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
+    a.build_cost += job.cost;
+    filter_costs.push_back(job.cost);
+  }
+  // Phase B: one job per (table, column) index, so a single wide table
+  // cannot serialize the build and each worker stages into its own
+  // HashIndex shard (no contended/false-shared growing vector). Large
+  // indexes additionally run their partitioned Build phases on the same
+  // pool (nested ParallelFor; the caller participates).
+  struct IndexJob {
+    size_t slot;
+    int col;
+    std::unique_ptr<HashIndex> index;
+    uint64_t cost = 0;
+  };
+  std::vector<IndexJob> ijobs;
+  if (opts.build_hash_indexes) {
+    for (size_t slot = 0; slot < ts.size(); ++slot) {
+      if (built[slot]->filtered.empty()) continue;
+      for (int col : EquiJoinColumns(info, ts[slot])) {
+        ijobs.push_back(IndexJob{slot, col, nullptr, 0});
+      }
+    }
+  }
+  SchedParallelFor(
+      opts.scheduler, ijobs.size(), width,
+      [&](size_t i) {
+        IndexJob& job = ijobs[i];
+        auto [index, cost] =
+            BuildColumnIndex(tables, ts[job.slot], job.col,
+                             built[job.slot]->filtered, opts.scheduler, width);
+        job.index = std::move(index);
+        job.cost = cost;
+      },
+      /*min_grain=*/1);
+  // Attach sequentially — unordered_map insertion is not thread-safe.
+  // Cost totals are count-based and schedule-independent, so the values
+  // match the sequential path exactly.
+  std::vector<uint64_t> index_costs;
+  index_costs.reserve(ijobs.size());
+  for (IndexJob& job : ijobs) {
+    TableArtifact& a = *built[job.slot];
+    a.build_cost += job.cost;
+    a.indexes.emplace(job.col, std::move(job.index));
+    index_costs.push_back(job.cost);
+  }
+  out.artifacts.assign(built.begin(), built.end());
+  // Parallel cost model: the deterministic list-scheduled makespan of the
+  // filter morsels plus that of the index jobs, at the CONFIGURED width.
+  // At num_threads <= 1 each makespan is exactly the cost sum, so the
+  // parallel path charges precisely what the sequential path would.
+  out.cost = ListScheduleMakespan(filter_costs, opts.num_threads) +
+             ListScheduleMakespan(index_costs, opts.num_threads);
+  return out;
 }
 
 const HashIndex* PreparedQuery::index(int t, int col) const {
@@ -712,37 +789,23 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
   // (typically negligible) evaluation cost counts as pre-processing; it is
   // re-evaluated per execution because a parameterized constant predicate
   // changes with the bound values while the per-table artifacts do not.
-  {
-    VirtualClock local;
-    std::vector<int64_t> binding(static_cast<size_t>(m), 0);
-    EvalContext ctx;
-    ctx.tables = &data->tables;
-    ctx.pool = pool;
-    ctx.rows = binding.data();
-    ctx.clock = &local;
-    bool empty = false;
-    for (const PredInfo& p : info->constant_preds()) {
-      if (!EvalPredicate(*p.expr, ctx)) {
-        empty = true;
-        break;
-      }
+  VirtualClock local;
+  const bool empty = !ConstantPredsHold(*info, data->tables, pool, &local);
+  data->preprocess_cost += local.now();
+  if (empty) {
+    data->trivially_empty = true;
+    // Engines never run on a trivially empty query, but accessors must
+    // stay safe: every table gets one shared empty artifact.
+    static const std::shared_ptr<const TableArtifact> kEmpty =
+        std::make_shared<TableArtifact>();
+    for (int t = 0; t < m; ++t) {
+      data->artifacts[static_cast<size_t>(t)] =
+          have_reuse && (*opts.reuse)[static_cast<size_t>(t)] != nullptr
+              ? (*opts.reuse)[static_cast<size_t>(t)]
+              : kEmpty;
     }
-    data->preprocess_cost += local.now();
-    if (empty) {
-      data->trivially_empty = true;
-      // Engines never run on a trivially empty query, but accessors must
-      // stay safe: every table gets one shared empty artifact.
-      static const std::shared_ptr<const TableArtifact> kEmpty =
-          std::make_shared<TableArtifact>();
-      for (int t = 0; t < m; ++t) {
-        data->artifacts[static_cast<size_t>(t)] =
-            have_reuse && (*opts.reuse)[static_cast<size_t>(t)] != nullptr
-                ? (*opts.reuse)[static_cast<size_t>(t)]
-                : kEmpty;
-      }
-      clock->Tick(data->preprocess_cost);
-      return Rebind(query, info, pool, clock, std::move(data));
-    }
+    clock->Tick(data->preprocess_cost);
+    return Rebind(query, info, pool, clock, std::move(data));
   }
 
   // Per-table artifacts (filter + that table's equi-join indexes), built
@@ -758,124 +821,13 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
       fresh.push_back(t);
     }
   }
-  if (opts.parallel && !fresh.empty()) {
-    // Execution width is leased from the scheduler's engine budget (under
-    // concurrent sessions a build degrades to fewer workers); the charged
-    // cost below stays pinned to the CONFIGURED width, so costs never
-    // depend on who else was running.
-    ThreadLease lease;
-    int width = std::max(opts.num_threads, 1);
-    if (opts.scheduler != nullptr && opts.num_threads > 1) {
-      lease = opts.scheduler->LeaseThreads(opts.num_threads);
-      width = std::max(1, lease.granted());
-    }
-    // Phase A: one job per (table, morsel) across EVERY fresh table, so a
-    // lone large table still splits and small tables cannot straggle.
-    struct FilterJob {
-      int t;
-      int64_t begin;
-      int64_t end;
-      std::vector<int32_t> rows;
-      uint64_t cost = 0;
-    };
-    std::vector<FilterJob> jobs;
-    std::vector<std::shared_ptr<TableArtifact>> built(static_cast<size_t>(m));
-    int64_t total_rows = 0;
-    for (int t : fresh) {
-      built[static_cast<size_t>(t)] = std::make_shared<TableArtifact>();
-      const int64_t n = data->tables[static_cast<size_t>(t)]->num_rows();
-      total_rows += n;
-      for (int64_t b = 0; b < n; b += kFilterMorselRows) {
-        jobs.push_back(
-            FilterJob{t, b, std::min(n, b + kFilterMorselRows), {}, 0});
-      }
-    }
-    // When the whole workload is under one morsel of rows, dispatching it
-    // would cost more than scanning it: run every job on this thread.
-    const size_t filter_grain =
-        total_rows <= kFilterMorselRows ? jobs.size() : size_t{1};
-    SchedParallelFor(
-        opts.scheduler, jobs.size(), width,
-        [&](size_t i) {
-          FilterJob& job = jobs[i];
-          auto [rows, cost] = FilterMorsel(data->tables, pool,
-                                           info->unary_preds(job.t), job.t,
-                                           job.begin, job.end);
-          job.rows = std::move(rows);
-          job.cost = cost;
-        },
-        filter_grain);
-    // Concatenate in (table, range) order — bit-identical to sequential
-    // scans — and collect per-morsel costs for the makespan model.
-    std::vector<uint64_t> filter_costs;
-    filter_costs.reserve(jobs.size());
-    for (FilterJob& job : jobs) {
-      TableArtifact& a = *built[static_cast<size_t>(job.t)];
-      a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
-      a.build_cost += job.cost;
-      filter_costs.push_back(job.cost);
-    }
-    // Phase B: one job per (table, column) index, so a single wide table
-    // cannot serialize the build and each worker stages into its own
-    // HashIndex shard (no contended/false-shared growing vector). Large
-    // indexes additionally run their partitioned Build phases on the same
-    // pool (nested ParallelFor; the caller participates).
-    struct IndexJob {
-      int t;
-      int col;
-      std::unique_ptr<HashIndex> index;
-      uint64_t cost = 0;
-    };
-    std::vector<IndexJob> ijobs;
-    if (opts.build_hash_indexes) {
-      for (int t : fresh) {
-        if (built[static_cast<size_t>(t)]->filtered.empty()) continue;
-        for (int col : EquiJoinColumns(*info, t)) {
-          ijobs.push_back(IndexJob{t, col, nullptr, 0});
-        }
-      }
-    }
-    SchedParallelFor(
-        opts.scheduler, ijobs.size(), width,
-        [&](size_t i) {
-          IndexJob& job = ijobs[i];
-          auto [index, cost] = BuildColumnIndex(
-              data->tables, job.t, job.col,
-              built[static_cast<size_t>(job.t)]->filtered, opts.scheduler,
-              width);
-          job.index = std::move(index);
-          job.cost = cost;
-        },
-        /*min_grain=*/1);
-    // Attach sequentially — unordered_map insertion is not thread-safe.
-    // Cost totals are count-based and schedule-independent, so the values
-    // match the sequential path exactly.
-    std::vector<uint64_t> index_costs;
-    index_costs.reserve(ijobs.size());
-    for (IndexJob& job : ijobs) {
-      TableArtifact& a = *built[static_cast<size_t>(job.t)];
-      a.build_cost += job.cost;
-      a.indexes.emplace(job.col, std::move(job.index));
-      index_costs.push_back(job.cost);
-    }
-    for (int t : fresh) {
-      data->artifacts[static_cast<size_t>(t)] = built[static_cast<size_t>(t)];
-    }
-    // Parallel cost model: the deterministic list-scheduled makespan of the
-    // filter morsels plus that of the index jobs, at the CONFIGURED width.
-    // At num_threads <= 1 each makespan is exactly the cost sum, so the
-    // parallel path charges precisely what the sequential path would.
-    data->preprocess_cost +=
-        ListScheduleMakespan(filter_costs, opts.num_threads) +
-        ListScheduleMakespan(index_costs, opts.num_threads);
-  } else {
-    for (int t : fresh) {
-      data->artifacts[static_cast<size_t>(t)] = BuildTableArtifact(
-          data->tables, pool, *info, t, opts.build_hash_indexes);
-      data->preprocess_cost +=
-          data->artifacts[static_cast<size_t>(t)]->build_cost;
-    }
+  TableArtifactBuild build =
+      BuildTableArtifacts(data->tables, pool, *info, fresh, opts);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    data->artifacts[static_cast<size_t>(fresh[i])] =
+        std::move(build.artifacts[i]);
   }
+  data->preprocess_cost += build.cost;
   for (int t = 0; t < m; ++t) {
     if (data->artifacts[static_cast<size_t>(t)]->filtered.empty()) {
       data->trivially_empty = true;

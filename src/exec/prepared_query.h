@@ -326,27 +326,6 @@ struct TableArtifact {
   size_t bytes() const;
 };
 
-/// Builds the artifact of table `t` for the analyzed query: filters by
-/// info.unary_preds(t), then (optionally) builds a hash index on each of
-/// t's equality-join columns over the survivors. Independent per table —
-/// safe to call concurrently for distinct tables, and the unit of reuse
-/// for the per-table PreparedCache.
-std::shared_ptr<const TableArtifact> BuildTableArtifact(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes);
-
-/// As above, with the filter scan morsel-parallel and the hash-index
-/// builds partitioned over `sched` (null scheduler or width <= 1 runs
-/// inline). The artifact — surviving rows, index layout, build_cost — is
-/// bit-identical to the sequential build for every worker count; only
-/// wall-clock time changes. The concurrent claim-all path of
-/// PreparedStatement uses this so each claimed table builds parallel
-/// inside while distinct tables build concurrently.
-std::shared_ptr<const TableArtifact> BuildTableArtifactParallel(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes, Scheduler* sched,
-    int max_threads);
-
 /// Rows per filter-scan morsel: the unit of parallel pre-processing work.
 /// Small enough that a handful of tables splits into far more morsels than
 /// workers (good balance), large enough that per-morsel bookkeeping is
@@ -389,28 +368,57 @@ struct PrepareOptions {
   const std::vector<std::shared_ptr<const TableArtifact>>* reuse = nullptr;
 };
 
+/// Evaluates the query's constant predicates (those touching no table) and
+/// charges the evaluation to `clock`; false when one of them is false,
+/// i.e. the join result is empty without looking at any data.
+bool ConstantPredsHold(const QueryInfo& info,
+                       const std::vector<const Table*>& tables,
+                       const StringPool* pool, VirtualClock* clock);
+
+/// Artifacts built by BuildTableArtifacts plus the virtual cost charged
+/// for them.
+struct TableArtifactBuild {
+  std::vector<std::shared_ptr<const TableArtifact>> artifacts;  // as `ts`
+  uint64_t cost = 0;
+};
+
+/// Builds the artifacts of FROM tables `ts` (paper 4.5 pre-processing):
+/// each table is filtered by info.unary_preds(t), then (optionally) hash
+/// indexes are built on its equality-join columns over the survivors.
+/// Sequentially, the charged cost is the sum of the artifacts' build
+/// costs. With opts.parallel, one filter job per (table, morsel) and one
+/// index job per (table, column) run on opts.scheduler, and the charged
+/// cost is the list-scheduled makespan of the filter jobs plus that of the
+/// index jobs at the configured width. The artifacts are bit-identical
+/// for every width and worker count. PreparedQuery::Prepare builds its
+/// fresh tables through this, and so do cached prepares for the tables
+/// they claimed, so both charge the same cost for the same tables.
+TableArtifactBuild BuildTableArtifacts(const std::vector<const Table*>& tables,
+                                       const StringPool* pool,
+                                       const QueryInfo& info,
+                                       const std::vector<int>& ts,
+                                       const PrepareOptions& opts);
+
 /// Output of the pre-processor (paper Figure 2): per-table lists of base
 /// rows surviving the unary predicates, plus hash indexes on equi-join
 /// columns over those survivors. All engines execute in "position space":
 /// position p of table t refers to base row filtered_rows(t)[p].
 ///
 /// A PreparedQuery is split along the execution/artifact boundary:
-///  - PreparedQuery::Data is the immutable pre-processing *artifact*
-///    (filtered positions + frozen hash indexes). It is read-only after
-///    Prepare(), thread-shareable, and held by shared_ptr so the
-///    cross-query PreparedCache and concurrent batch items can reuse one
-///    build (paper 4.5 does this work per query; reuse makes it free on
-///    repeats).
+///  - PreparedQuery::Data holds the immutable pre-processing *artifacts*
+///    (filtered positions + frozen hash indexes), one shared TableArtifact
+///    per FROM table. Artifacts are read-only after their build,
+///    thread-shareable, and held by shared_ptr so the cross-query
+///    PreparedCache and concurrent batch items can reuse one build (paper
+///    4.5 does this work per query; reuse makes it free on repeats).
 ///  - The PreparedQuery object itself is the cheap per-*execution* view:
 ///    data handle + query/info/pool pointers + this execution's virtual
-///    clock. Rebind() constructs one in O(1) from a shared Data.
+///    clock.
 class PreparedQuery {
  public:
-  /// The immutable pre-processing artifact (see class comment): one
-  /// shared TableArtifact per FROM-list table. Artifacts are individually
-  /// shareable — two Data bundles for different parameter values of one
-  /// template typically share every artifact except the param-filtered
-  /// tables'.
+  /// The per-table artifacts of one execution (see class comment). Two
+  /// executions of one template with different parameter values typically
+  /// share every artifact except the param-filtered tables'.
   struct Data {
     std::vector<const Table*> tables;
     std::vector<std::shared_ptr<const TableArtifact>> artifacts;  // per table
@@ -419,26 +427,16 @@ class PreparedQuery {
     /// of the artifacts actually built for it (reused/cached tables and
     /// cache hits contribute nothing).
     uint64_t preprocess_cost = 0;
-
-    /// Heap footprint of the referenced artifacts (cache accounting).
-    size_t bytes() const;
   };
 
-  /// Runs pre-processing (filter + index build), charges the cost to
-  /// `clock`, and returns an execution view over the freshly built Data.
+  /// Runs pre-processing (filter + index build) for every table without a
+  /// reusable artifact in opts.reuse, charges the cost to `clock`, and
+  /// returns an execution view over the tables' artifacts.
   static Result<std::unique_ptr<PreparedQuery>> Prepare(
       const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
       VirtualClock* clock, const PrepareOptions& opts);
 
-  /// Rebinds an existing shared artifact to a new execution (PreparedCache
-  /// hit): no filtering, no index builds, nothing charged to `clock`.
-  /// `query`/`info` must be the (equivalent) objects the artifact was built
-  /// from — the cache guarantees this by keying on the bound signature.
-  static std::unique_ptr<PreparedQuery> Rebind(
-      const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
-      VirtualClock* clock, std::shared_ptr<const Data> data);
-
-  /// The shared artifact handle (for caching / cross-execution reuse).
+  /// The artifact handle.
   const std::shared_ptr<const Data>& shared_data() const { return data_; }
 
   const BoundQuery& query() const { return *query_; }
@@ -485,6 +483,9 @@ class PreparedQuery {
 
  private:
   PreparedQuery() = default;
+  static std::unique_ptr<PreparedQuery> Rebind(
+      const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
+      VirtualClock* clock, std::shared_ptr<const Data> data);
 
   const BoundQuery* query_ = nullptr;
   const QueryInfo* info_ = nullptr;

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 #include "optimizer/dp_optimizer.h"
 
 namespace skinner {

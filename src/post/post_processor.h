@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 #include "exec/result_set.h"
 #include "post/aggregates.h"
 

@@ -96,7 +96,7 @@ bool SkinnerGEngine::Step(uint64_t until, ResultSet* out) {
   std::vector<PosTuple> scratch;
   ForcedExecResult r;
   if (opts_.engine == GenericEngineKind::kVolcano) {
-    r = ExecuteVolcano(*pq_, order, fo, &scratch);
+    r = ExecuteForcedOrder(*pq_, order, fo, &scratch);
   } else {
     BlockExecOptions bo;
     static_cast<ForcedExecOptions&>(bo) = fo;

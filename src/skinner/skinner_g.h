@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "engine/block.h"
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 #include "uct/uct.h"
 
 namespace skinner {

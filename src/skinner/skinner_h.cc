@@ -32,7 +32,7 @@ Status SkinnerHEngine::Run(ResultSet* out) {
       std::vector<PosTuple> scratch;
       ForcedExecResult r;
       if (opts_.g.engine == GenericEngineKind::kVolcano) {
-        r = ExecuteVolcano(*pq_, optimizer_order_, fo, &scratch);
+        r = ExecuteForcedOrder(*pq_, optimizer_order_, fo, &scratch);
       } else {
         BlockExecOptions bo;
         static_cast<ForcedExecOptions&>(bo) = fo;

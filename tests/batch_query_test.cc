@@ -100,6 +100,40 @@ TEST_F(BatchQueryTest, ConcurrencyDoesNotChangeResults) {
   EXPECT_EQ(RenderBatch(r1), RenderBatch(r4));
 }
 
+TEST_F(BatchQueryTest, ConcurrencyDoesNotChangeStats) {
+  // Items prepare in item order before any executes, so which item pays
+  // each artifact build — and every item's costs — is fixed by the batch
+  // alone. Batch-local caches keep the two runs independent.
+  std::vector<BatchItem> items = MixedItems();
+  auto render = [&](int workers) {
+    BatchOptions bo;
+    bo.num_workers = workers;
+    bo.use_prepared_cache = false;
+    std::vector<Result<QueryOutput>> results = db_.QueryBatch(items, bo);
+    std::string out = RenderBatch(results);
+    for (const auto& r : results) {
+      if (!r.ok()) continue;
+      const ExecutionStats& s = r.value().stats;
+      out += "pre=" + std::to_string(s.preprocess_cost) +
+             " hit=" + std::to_string(s.prepared_from_cache) +
+             " from_cache=" + std::to_string(s.tables_prepared_from_cache) +
+             " reprepared=" + std::to_string(s.tables_reprepared) +
+             " total=" + std::to_string(s.total_cost) + "\n";
+    }
+    return out;
+  };
+  const std::string one = render(1);
+  EXPECT_EQ(one, render(4));
+  // Each of the three distinct templates is built once, by its first item;
+  // the other 12 items are served from the batch's cache.
+  size_t hits = 0;
+  for (size_t pos = one.find("hit=1"); pos != std::string::npos;
+       pos = one.find("hit=1", pos + 1)) {
+    ++hits;
+  }
+  EXPECT_EQ(hits, items.size() - 3);
+}
+
 TEST_F(BatchQueryTest, BatchAgreesWithIndividualQueries) {
   std::vector<BatchItem> items = MixedItems();
   BatchOptions bo;
@@ -150,7 +184,7 @@ TEST_F(BatchQueryTest, OnePrepaymentPerTemplateGroup) {
     }
   }
   // Nothing leaked into the database's cross-query cache.
-  EXPECT_EQ(db_.prepared_cache()->stats().entries, 0u);
+  EXPECT_EQ(db_.prepared_cache()->stats().table_entries, 0u);
 }
 
 TEST_F(BatchQueryTest, SharedCachePersistsAcrossBatches) {

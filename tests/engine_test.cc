@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/block.h"
-#include "engine/volcano.h"
+#include "engine/forced_order.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -48,7 +48,7 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, VolcanoFullJoin) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   std::vector<PosTuple> out;
-  ForcedExecResult r = ExecuteVolcano(*pq_, {0, 1}, {}, &out);
+  ForcedExecResult r = ExecuteForcedOrder(*pq_, {0, 1}, {}, &out);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(out.size(), 16u);  // 4 keys x 2 x 2
   EXPECT_EQ(r.tuples_emitted, 16u);
@@ -60,7 +60,7 @@ TEST_F(EngineTest, VolcanoAndBlockAgree) {
   for (auto order : {std::vector<int>{0, 1}, std::vector<int>{1, 0}}) {
     std::vector<PosTuple> v_out;
     std::vector<PosTuple> b_out;
-    EXPECT_TRUE(ExecuteVolcano(*pq_, order, {}, &v_out).completed);
+    EXPECT_TRUE(ExecuteForcedOrder(*pq_, order, {}, &v_out).completed);
     EXPECT_TRUE(ExecuteBlock(*pq_, order, {}, &b_out).completed);
     EXPECT_EQ(v_out.size(), b_out.size());
   }
@@ -72,7 +72,7 @@ TEST_F(EngineTest, LeftmostRangeRestrictsBatch) {
   fo.left_from = 0;
   fo.left_to = 2;  // a positions 0,1 only: keys 0,1 -> 2 matches each
   std::vector<PosTuple> out;
-  EXPECT_TRUE(ExecuteVolcano(*pq_, {0, 1}, fo, &out).completed);
+  EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, fo, &out).completed);
   EXPECT_EQ(out.size(), 4u);
 }
 
@@ -81,7 +81,7 @@ TEST_F(EngineTest, MinPosExcludesProcessedTuples) {
   ForcedExecOptions fo;
   fo.min_pos = {0, 4};  // exclude b positions 0..3 (keys 0..3 once)
   std::vector<PosTuple> out;
-  EXPECT_TRUE(ExecuteVolcano(*pq_, {0, 1}, fo, &out).completed);
+  EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, fo, &out).completed);
   EXPECT_EQ(out.size(), 8u);  // each a row matches 1 remaining b row
 }
 
@@ -90,7 +90,7 @@ TEST_F(EngineTest, DeadlineAborts) {
   ForcedExecOptions fo;
   fo.deadline = clock_.now() + 3;
   std::vector<PosTuple> out;
-  ForcedExecResult r = ExecuteVolcano(*pq_, {0, 1}, fo, &out);
+  ForcedExecResult r = ExecuteForcedOrder(*pq_, {0, 1}, fo, &out);
   EXPECT_FALSE(r.completed);
   // Block checks the deadline too.
   BlockExecOptions bo;
@@ -110,7 +110,7 @@ TEST_F(EngineTest, BlockIntermediateCapAborts) {
 TEST_F(EngineTest, SingleTableScan) {
   Prepare("SELECT COUNT(*) FROM a WHERE a.k < 2");
   std::vector<PosTuple> out;
-  ForcedExecResult r = ExecuteVolcano(*pq_, {0}, {}, &out);
+  ForcedExecResult r = ExecuteForcedOrder(*pq_, {0}, {}, &out);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(out.size(), 4u);  // k in {0,1}: rows 0,1,4,5
 }
@@ -119,8 +119,8 @@ TEST_F(EngineTest, PosTuplesIndexedByTable) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   std::vector<PosTuple> fwd;
   std::vector<PosTuple> rev;
-  EXPECT_TRUE(ExecuteVolcano(*pq_, {0, 1}, {}, &fwd).completed);
-  EXPECT_TRUE(ExecuteVolcano(*pq_, {1, 0}, {}, &rev).completed);
+  EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, {}, &fwd).completed);
+  EXPECT_TRUE(ExecuteForcedOrder(*pq_, {1, 0}, {}, &rev).completed);
   // Same result set regardless of execution order (table-indexed tuples).
   auto canon = [](std::vector<PosTuple> v) {
     std::sort(v.begin(), v.end());

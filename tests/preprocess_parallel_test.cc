@@ -261,6 +261,70 @@ TEST(ParallelPreprocessTest, StringUdfArtifactsBitIdenticalAcrossWidths) {
   }
 }
 
+// One prepare path: at width 4 an uncached Query, a cached Query and a
+// prepared statement with one `?` all build their tables through the same
+// builder, so they produce the same artifacts and charge the same cost.
+TEST(ParallelPreprocessTest, CachedAndStatementPreparesMatchUncached) {
+  Database db;
+  // 5 filter morsels per table; a wide key domain keeps the join small.
+  BuildFilterHeavyDb(&db, 3, 20000, 16384);
+  ExecOptions opts;
+  opts.parallel_preprocess = true;
+  opts.num_threads = 4;
+
+  const PreparedProbe uncached =
+      ProbePrepare(&db, kChainQuery, /*parallel=*/true, 4);
+  auto plain = db.Query(kChainQuery, opts);
+  ASSERT_TRUE(plain.ok()) << plain.status().message();
+  EXPECT_EQ(plain.value().stats.preprocess_cost, uncached.preprocess_cost);
+
+  // Fingerprints of the cached artifacts of p0..p2 under `signature`; only
+  // p0's filter carries the statement's parameter.
+  auto cached_fps = [&db](const std::string& signature,
+                          const std::string& p0_values) {
+    std::vector<uint64_t> fps;
+    for (int t = 0; t < 3; ++t) {
+      const Table* table = db.catalog()->FindTable("p" + std::to_string(t));
+      PreparedCache::TableArtifactPtr art = db.prepared_cache()->LookupTable(
+          TableArtifactKey(signature, t, /*build_hash_indexes=*/true,
+                           t == 0 ? p0_values : std::string()),
+          TableStamp{table->id(), table->data_version()});
+      EXPECT_NE(art, nullptr) << "table " << t;
+      fps.push_back(art == nullptr ? 0 : ArtifactFingerprint(*art));
+    }
+    return fps;
+  };
+
+  ExecOptions cached = opts;
+  cached.use_prepared_cache = true;
+  auto literal = db.Query(kChainQuery, cached);
+  ASSERT_TRUE(literal.ok()) << literal.status().message();
+  EXPECT_EQ(literal.value().stats.tables_reprepared, 3);
+  EXPECT_EQ(literal.value().stats.preprocess_cost, uncached.preprocess_cost);
+  auto bound = db.Bind(kChainQuery);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(cached_fps(ComputeQuerySignature(*bound.value()), ""),
+            uncached.artifact_fp);
+
+  db.prepared_cache()->Clear();
+  auto session = db.CreateSession(opts);
+  auto stmt = session->Prepare(
+      "SELECT COUNT(*) FROM p0, p1, p2 WHERE p0.k = p1.k AND p1.k = p2.k "
+      "AND p0.v < ? AND p1.v < 60 AND p2.v < 70");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().message();
+  auto executed = stmt.value()->Execute({Value::Int(50)});
+  ASSERT_TRUE(executed.ok()) << executed.status().message();
+  EXPECT_EQ(executed.value().stats.tables_reprepared, 3);
+  EXPECT_EQ(executed.value().stats.preprocess_cost, uncached.preprocess_cost);
+  std::string p0_values;
+  AppendValueSignature(Value::Int(50), &p0_values);
+  p0_values.push_back(';');
+  EXPECT_EQ(cached_fps(stmt.value()->template_signature(), p0_values),
+            uncached.artifact_fp);
+  EXPECT_EQ(testing::CanonicalRows(executed.value().result),
+            testing::CanonicalRows(plain.value().result));
+}
+
 // Mask-aware morsel filtering (PR 7) must be free for fully-valid tables:
 // a DELETE that matches nothing allocates no validity mask, so the scan
 // takes the exact pre-mutation path and charges the exact pre-mutation

@@ -125,7 +125,7 @@ TEST_F(SkinnerHTest, RegretVsTraditionalBounded) {
                                       catalog_.string_pool(), &clock, {});
     ASSERT_TRUE(pq2.ok());
     std::vector<PosTuple> out;
-    ExecuteVolcano(*pq2.value(), {0, 1}, {}, &out);
+    ExecuteForcedOrder(*pq2.value(), {0, 1}, {}, &out);
     direct_cost = clock.now();
   }
   {
