@@ -43,31 +43,24 @@ void EddyEngine::Extend(const Partial& partial, int t,
 
   // Predicates that become checkable with t bound.
   std::vector<const PredInfo*> preds = info.NewlyApplicable(next_mask, t);
-  // Pick an index-backed equality to enumerate candidates, if any.
+  // Enumerate candidates through the step's driving equality (the join
+  // loop's driver rule), if any is index-backed.
+  std::vector<EquiProbe> eq;
+  for (const PredInfo* p : preds) {
+    EquiProbe probe;
+    if (MatchEquiProbe(*pq_, *p->expr, t, &probe)) eq.push_back(probe);
+  }
+  const int driver = PickDriver(eq);
   const HashIndex* index = nullptr;
   uint64_t probe_key = 0;
-  for (const PredInfo* p : preds) {
-    const Expr* e = p->expr;
-    if (e->kind != ExprKind::kBinaryOp || e->bin_op != BinOp::kEq) continue;
-    if (e->children[0]->kind != ExprKind::kColumnRef ||
-        e->children[1]->kind != ExprKind::kColumnRef) {
-      continue;
-    }
-    const Expr* mine = e->children[0]->table_idx == t ? e->children[0].get()
-                                                       : e->children[1].get();
-    const Expr* other = e->children[0]->table_idx == t ? e->children[1].get()
-                                                        : e->children[0].get();
-    if (mine->table_idx != t || other->table_idx == t) continue;
-    if (!Contains(partial.mask, other->table_idx)) continue;
-    const HashIndex* idx = pq_->index(t, mine->column_idx);
-    if (idx == nullptr) continue;
-    const Column& col = pq_->table(other->table_idx)->column(other->column_idx);
-    int64_t row = pq_->base_row(other->table_idx,
-                                partial.pos[static_cast<size_t>(other->table_idx)]);
+  if (driver >= 0) {
+    const EquiProbe& d = eq[static_cast<size_t>(driver)];
+    const Column& col = pq_->table(d.other_table)->column(d.other_col);
+    int64_t row = pq_->base_row(d.other_table,
+                                partial.pos[static_cast<size_t>(d.other_table)]);
     if (col.IsNull(row)) return;  // NULL never matches: no extensions
-    index = idx;
+    index = d.index;
     probe_key = JoinKeyOf(col, row);
-    break;
   }
 
   // Bind current rows for predicate evaluation.

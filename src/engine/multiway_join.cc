@@ -1,8 +1,40 @@
 #include "engine/multiway_join.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace skinner {
+
+bool MatchEquiProbe(const PreparedQuery& pq, const Expr& e, int t,
+                    EquiProbe* probe) {
+  if (e.kind != ExprKind::kBinaryOp || e.bin_op != BinOp::kEq ||
+      e.children[0]->kind != ExprKind::kColumnRef ||
+      e.children[1]->kind != ExprKind::kColumnRef) {
+    return false;
+  }
+  const Expr* a = e.children[0].get();
+  const Expr* b = e.children[1].get();
+  if (b->table_idx == t) std::swap(a, b);
+  if (a->table_idx != t || b->table_idx == t) return false;
+  probe->this_col = a->column_idx;
+  probe->other_table = b->table_idx;
+  probe->other_col = b->column_idx;
+  probe->index = pq.index(t, a->column_idx);
+  return true;
+}
+
+int PickDriver(const std::vector<EquiProbe>& eq) {
+  int best = -1;
+  for (size_t i = 0; i < eq.size(); ++i) {
+    const HashIndex* idx = eq[i].index;
+    if (idx == nullptr) continue;
+    if (best < 0 ||
+        idx->num_keys() > eq[static_cast<size_t>(best)].index->num_keys()) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
 
 std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
                                      const std::vector<int>& order) {
@@ -15,42 +47,14 @@ std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
     step.table = t;
     TableSet with_t = prefix | TableBit(t);
     for (const PredInfo* p : info.NewlyApplicable(with_t, t)) {
-      // Binary equality between t and an earlier table?
-      const Expr* e = p->expr;
-      bool is_equi = false;
-      if (e->kind == ExprKind::kBinaryOp && e->bin_op == BinOp::kEq &&
-          e->children[0]->kind == ExprKind::kColumnRef &&
-          e->children[1]->kind == ExprKind::kColumnRef) {
-        const Expr* a = e->children[0].get();
-        const Expr* b = e->children[1].get();
-        const Expr* mine = nullptr;
-        const Expr* other = nullptr;
-        if (a->table_idx == t && b->table_idx != t) {
-          mine = a;
-          other = b;
-        } else if (b->table_idx == t && a->table_idx != t) {
-          mine = b;
-          other = a;
-        }
-        if (mine != nullptr) {
-          EquiProbe probe;
-          probe.this_col = mine->column_idx;
-          probe.other_table = other->table_idx;
-          probe.other_col = other->column_idx;
-          probe.index = pq.index(t, mine->column_idx);
-          step.eq.push_back(probe);
-          is_equi = true;
-        }
-      }
-      if (!is_equi) step.checks.push_back(e);
-    }
-    // Pick the first index-backed equality as the driver.
-    for (size_t i = 0; i < step.eq.size(); ++i) {
-      if (step.eq[i].index != nullptr) {
-        step.driver = static_cast<int>(i);
-        break;
+      EquiProbe probe;
+      if (MatchEquiProbe(pq, *p->expr, t, &probe)) {
+        step.eq.push_back(probe);
+      } else {
+        step.checks.push_back(p->expr);
       }
     }
+    step.driver = PickDriver(step.eq);
     steps.push_back(std::move(step));
     prefix = with_t;
   }

@@ -40,15 +40,37 @@ struct EquiProbe {
 /// generic (interpreted) predicate checks that become applicable here.
 struct JoinStep {
   int table;
-  /// Driving probe (index-backed); -1 in `driver` means scan all positions.
-  int driver = -1;  // index into eq: which equality drives candidate jumps
+  /// Index into `eq` of the equality that enumerates candidates (its
+  /// postings run for the bound key), chosen by PickDriver; -1 means no
+  /// equality is index-backed and every position is a candidate. Check()
+  /// verifies every other equality.
+  int driver = -1;
   std::vector<EquiProbe> eq;          // all equality preds to earlier tables
   std::vector<const Expr*> checks;    // generic newly applicable conjuncts
 };
 
+/// Recognizes `e` as an equality between a column of table `t` and a
+/// column of another table; on success fills `probe`, with the index on
+/// `t`'s column taken from `pq` (nullptr if none was built).
+bool MatchEquiProbe(const PreparedQuery& pq, const Expr& e, int t,
+                    EquiProbe* probe);
+
+/// The driver rule shared by every engine: among the index-backed probes
+/// of one step, the one whose frozen HashIndex has the most distinct keys
+/// (num_keys()). All of a step's probes index the same table, so that is
+/// the shortest mean postings run (cardinality / num_keys): the fewest
+/// candidates to test on average. Ties keep WHERE order (the earliest wins). A pure
+/// function of the frozen artifacts — no statistics, deterministic at any
+/// thread count. Returns -1 if no probe has an index.
+int PickDriver(const std::vector<EquiProbe>& eq);
+
 /// Compiles a left-deep join order into per-position steps. Step k joins
 /// table order[k]; its predicates are exactly the conjuncts that become
-/// checkable at position k (paper: "newly applicable predicates").
+/// checkable at position k (paper: "newly applicable predicates"), its
+/// equalities in WHERE order, and its driver is PickDriver(eq). The driver
+/// only decides which equality enumerates candidates, so results do not
+/// depend on it; its postings are ascending, so positions and progress
+/// frontiers keep their meaning.
 std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
                                      const std::vector<int>& order);
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "benchgen/tpch.h"
+#include "benchgen/tpch_queries.h"
 #include "engine/block.h"
 #include "engine/forced_order.h"
 #include "sql/parser.h"
@@ -127,6 +132,96 @@ TEST_F(EngineTest, PosTuplesIndexedByTable) {
     return v;
   };
   EXPECT_EQ(canon(fwd), canon(rev));
+}
+
+// TPC-H Q9u's join steps at partsupp and lineitem each have two
+// index-backed equalities of very different selectivity (partkey vs
+// suppkey). The driving column must come from the indexes, not from the
+// order the query happens to list its conjuncts in; WHERE order alone
+// then cannot change a forced order's work or rows.
+TEST(DriverRuleTest, Q9uDriverIgnoresWhereOrder) {
+  Database db;
+  bench::TpchSpec spec;
+  spec.scale_factor = 0.002;
+  ASSERT_TRUE(bench::GenerateTpch(&db, spec).ok());
+  ASSERT_TRUE(bench::RegisterTpchUdfs(&db).ok());
+  std::string sql;
+  for (const auto& q : bench::TpchUdfQueries()) {
+    if (q.name == "Q9u") sql = q.sql;
+  }
+  ASSERT_FALSE(sql.empty());
+  // The same query with its WHERE conjuncts listed in reverse.
+  const size_t where = sql.find(" WHERE ") + 7;
+  const size_t group = sql.find(" GROUP BY ");
+  std::vector<std::string> conjuncts;
+  for (size_t at = where; at < group;) {
+    const size_t next = std::min(sql.find(" AND ", at), group);
+    conjuncts.insert(conjuncts.begin(), sql.substr(at, next - at));
+    at = next == group ? group : next + 5;
+  }
+  std::string reversed = sql.substr(0, where);
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    reversed += (i == 0 ? "" : " AND ") + conjuncts[i];
+  }
+  reversed += sql.substr(group);
+  ASSERT_EQ(conjuncts.size(), 7u);
+  ASSERT_NE(reversed, sql);
+
+  struct Prepared {
+    VirtualClock clock;
+    std::unique_ptr<BoundQuery> query;
+    std::unique_ptr<QueryInfo> info;
+    std::unique_ptr<PreparedQuery> pq;
+  };
+  Prepared fwd;
+  Prepared rev;
+  for (auto [p, text] : {std::pair<Prepared*, const std::string*>{&fwd, &sql},
+                         {&rev, &reversed}}) {
+    auto stmt = ParseSql(*text);
+    ASSERT_TRUE(stmt.ok());
+    auto q = BindSelect(stmt.value().select.get(), db.catalog(), db.udfs());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    p->query = std::make_unique<BoundQuery>(q.MoveValue());
+    p->info = std::make_unique<QueryInfo>(
+        QueryInfo::Analyze(*p->query).MoveValue());
+    auto pq = PreparedQuery::Prepare(p->query.get(), p->info.get(),
+                                     db.catalog()->string_pool(), &p->clock,
+                                     {});
+    ASSERT_TRUE(pq.ok());
+    p->pq = pq.MoveValue();
+  }
+
+  // FROM part(0), supplier(1), lineitem(2), partsupp(3), orders(4),
+  // nation(5). Step 1 joins partsupp to lineitem, resp. lineitem to
+  // partsupp, on both partkey and suppkey; partkey has far more keys.
+  const Schema& ps = db.catalog()->FindTable("partsupp")->schema();
+  const Schema& li = db.catalog()->FindTable("lineitem")->schema();
+  const std::vector<std::pair<std::vector<int>, int>> cases = {
+      {{2, 3, 0, 1, 5, 4}, ps.FindColumn("ps_partkey")},
+      {{3, 2, 0, 1, 4, 5}, li.FindColumn("l_partkey")},
+  };
+  for (const auto& [order, partkey] : cases) {
+    auto fwd_steps = BuildJoinSteps(*fwd.pq, order);
+    auto rev_steps = BuildJoinSteps(*rev.pq, order);
+    auto driving_col = [](const JoinStep& s) {
+      return s.driver < 0 ? -1 : s.eq[static_cast<size_t>(s.driver)].this_col;
+    };
+    ASSERT_EQ(fwd_steps[1].eq.size(), 2u);
+    EXPECT_EQ(driving_col(fwd_steps[1]), partkey);
+    for (size_t d = 0; d < order.size(); ++d) {
+      EXPECT_EQ(driving_col(fwd_steps[d]), driving_col(rev_steps[d]))
+          << "step " << d;
+    }
+    std::vector<PosTuple> fwd_rows;
+    std::vector<PosTuple> rev_rows;
+    const uint64_t fwd_start = fwd.clock.now();
+    const uint64_t rev_start = rev.clock.now();
+    ASSERT_TRUE(ExecuteForcedOrder(*fwd.pq, order, {}, &fwd_rows).completed);
+    ASSERT_TRUE(ExecuteForcedOrder(*rev.pq, order, {}, &rev_rows).completed);
+    EXPECT_EQ(fwd.clock.now() - fwd_start, rev.clock.now() - rev_start);
+    EXPECT_FALSE(fwd_rows.empty());
+    EXPECT_EQ(fwd_rows, rev_rows);
+  }
 }
 
 }  // namespace

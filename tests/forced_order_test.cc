@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/eddy.h"
 #include "sql/parser.h"
 
 namespace skinner {
@@ -130,20 +131,82 @@ TEST_F(ForcedOrderTest, CheckEvaluatesResidualPredicates) {
 }
 
 TEST_F(ForcedOrderTest, MultipleEquiPredsOneDriverRestChecks) {
+  // b gains (k=1, w=0), so b.w = 0 matches two b rows with different k.
+  // b.w keeps 4 distinct keys (0, 10, 20, 30) against b.k's 3, so the
+  // more selective a.v = b.w drives and a.k = b.k is checked.
+  Table* b = catalog_.FindTable("b");
+  b->mutable_column(0)->AppendInt(1);
+  b->mutable_column(1)->AppendInt(0);
+  b->CommitRow();
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.v = b.w");
   auto steps = BuildJoinSteps(*pq_, {0, 1});
   ASSERT_EQ(steps[1].eq.size(), 2u);
-  EXPECT_GE(steps[1].driver, 0);
+  ASSERT_EQ(steps[1].driver, 1);
+  EXPECT_EQ(steps[1].eq[1].this_col, 1);  // b.w
   JoinCursor cursor(pq_.get(), steps);
-  // a row 0: k=0,v=0; b pos 0: k=0,w=0 passes both; pos 3: k=0,w=30 fails
-  // the non-driver equality.
+  // a row 0: k=0,v=0. b.w = 0 at pos 0 (k=0) passes both; pos 4 (k=1)
+  // fails the non-driver equality.
   cursor.Bind(0, 0);
   int64_t p = cursor.FirstCandidate(1, 0);
+  EXPECT_EQ(p, 0);
   cursor.Bind(1, p);
   EXPECT_TRUE(cursor.Check(1));
   p = cursor.NextCandidate(1, p);
+  EXPECT_EQ(p, 4);
   cursor.Bind(1, p);
   EXPECT_FALSE(cursor.Check(1));
+  EXPECT_EQ(cursor.NextCandidate(1, p), -1);
+}
+
+TEST_F(ForcedOrderTest, DriverTieKeepsWhereOrder) {
+  // Both of b's equalities probe the one index on b.k: a tie, so the
+  // earlier conjunct drives.
+  Prepare("SELECT COUNT(*) FROM a, b, c WHERE a.k = b.k AND c.k = b.k");
+  auto steps = BuildJoinSteps(*pq_, {0, 2, 1});
+  ASSERT_EQ(steps[2].eq.size(), 2u);
+  EXPECT_EQ(steps[2].driver, 0);
+  EXPECT_EQ(steps[2].eq[0].other_table, 0);
+  Prepare("SELECT COUNT(*) FROM a, b, c WHERE c.k = b.k AND a.k = b.k");
+  steps = BuildJoinSteps(*pq_, {0, 2, 1});
+  ASSERT_EQ(steps[2].eq.size(), 2u);
+  EXPECT_EQ(steps[2].driver, 0);
+  EXPECT_EQ(steps[2].eq[0].other_table, 2);
+}
+
+TEST(PickDriverTest, MostDistinctKeysWinsAndTiesKeepOrder) {
+  HashIndex two, four, four_too;  // distinct keys over 8 positions
+  for (int32_t p = 0; p < 8; ++p) {
+    two.Add(static_cast<uint64_t>(p % 2), p);
+    four.Add(static_cast<uint64_t>(p % 4), p);
+    four_too.Add(static_cast<uint64_t>(p / 2), p);
+  }
+  two.Build();
+  four.Build();
+  four_too.Build();
+  auto probe = [](const HashIndex* idx) { return EquiProbe{0, 0, 0, idx}; };
+  EXPECT_EQ(PickDriver({}), -1);
+  EXPECT_EQ(PickDriver({probe(nullptr)}), -1);
+  EXPECT_EQ(PickDriver({probe(&two), probe(&four)}), 1);
+  EXPECT_EQ(PickDriver({probe(&four), probe(&two)}), 0);
+  EXPECT_EQ(PickDriver({probe(nullptr), probe(&two)}), 1);
+  EXPECT_EQ(PickDriver({probe(&four), probe(&four_too)}), 0);
+  EXPECT_EQ(PickDriver({probe(&four_too), probe(&two), probe(&four)}), 0);
+}
+
+TEST_F(ForcedOrderTest, EddyDrivesWithMostSelectiveIndex) {
+  // The eddy streams b (the smallest table) and extends each b row with a.
+  // Driving a.v = b.w (6 distinct keys) tests one candidate in total; the
+  // less selective a.k = b.k would test two a rows per b row.
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.v = b.w",
+        "SELECT COUNT(*) FROM a, b WHERE a.v = b.w AND a.k = b.k"}) {
+    Prepare(sql);
+    EddyEngine eddy(pq_.get(), EddyOptions{});
+    ResultSet out(pq_->num_tables());
+    ASSERT_TRUE(eddy.Run(&out).ok()) << sql;
+    EXPECT_EQ(out.size(), 1u) << sql;
+    EXPECT_EQ(eddy.stats().candidate_checks, 1u) << sql;
+  }
 }
 
 // Regression: -0.0 and +0.0 compare equal in EvalPredicate, so they must
