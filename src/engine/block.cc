@@ -7,13 +7,11 @@ namespace {
 /// kVectorDiscount candidate checks (tight loops over columns), but a full
 /// unit per materialized intermediate tuple.
 constexpr uint64_t kVectorDiscount = 4;
+}  // namespace
 
-/// Shared body of both ExecuteBlock overloads; `emit` receives each final
-/// tuple exactly once after the last materialization pass completes.
-template <class EmitFn>
-ForcedExecResult RunBlock(const PreparedQuery& pq,
-                          const std::vector<int>& order,
-                          const BlockExecOptions& opts, EmitFn&& emit) {
+ForcedExecResult ExecuteBlock(const PreparedQuery& pq,
+                              const std::vector<int>& order,
+                              const BlockExecOptions& opts, ResultSet* out) {
   ForcedExecResult res;
   const int m = static_cast<int>(order.size());
   VirtualClock* clock = pq.clock();
@@ -80,24 +78,8 @@ ForcedExecResult RunBlock(const PreparedQuery& pq,
 
   res.completed = true;
   res.tuples_emitted = current.size();
-  for (auto& tuple : current) emit(tuple);
+  for (const PosTuple& tuple : current) out->Append(tuple);
   return res;
-}
-
-}  // namespace
-
-ForcedExecResult ExecuteBlock(const PreparedQuery& pq,
-                              const std::vector<int>& order,
-                              const BlockExecOptions& opts,
-                              std::vector<PosTuple>* out) {
-  return RunBlock(pq, order, opts,
-                  [out](PosTuple& t) { out->push_back(std::move(t)); });
-}
-
-ForcedExecResult ExecuteBlock(const PreparedQuery& pq,
-                              const std::vector<int>& order,
-                              const BlockExecOptions& opts, ResultSet* out) {
-  return RunBlock(pq, order, opts, [out](const PosTuple& t) { out->Append(t); });
 }
 
 }  // namespace skinner

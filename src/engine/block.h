@@ -17,14 +17,8 @@ struct BlockExecOptions : ForcedExecOptions {
 /// per-tuple cost (bulk processing earns a vectorization discount on the
 /// virtual clock) but the engine pays for the *entire* intermediate result
 /// of a bad join order and can only abort between tuples of a
-/// materialization pass (coarse timeout granularity).
-ForcedExecResult ExecuteBlock(const PreparedQuery& pq,
-                              const std::vector<int>& order,
-                              const BlockExecOptions& opts,
-                              std::vector<PosTuple>* out);
-
-/// Same, appending into a flat ResultSet (the Database join sink) without
-/// a per-tuple scratch copy.
+/// materialization pass (coarse timeout granularity). The final tuples
+/// are appended to `out` once the last pass completes.
 ForcedExecResult ExecuteBlock(const PreparedQuery& pq,
                               const std::vector<int>& order,
                               const BlockExecOptions& opts, ResultSet* out);

@@ -4,16 +4,13 @@
 
 namespace skinner {
 
-namespace {
-
-/// Shared body of both ExecuteForcedOrder overloads: set up the cursor and
-/// range bounds, then drive the multiway-join step loop to completion
-/// under the traditional cost model (backtracks are free, candidate tests
-/// tick the clock, abort past the deadline).
-template <class EmitFn>
-ForcedExecResult RunForcedOrder(const PreparedQuery& pq,
-                                const std::vector<int>& order,
-                                const ForcedExecOptions& opts, EmitFn&& emit) {
+// Sets up the cursor and range bounds, then drives the multiway-join step
+// loop to completion under the traditional cost model (backtracks are
+// free, candidate tests tick the clock, abort past the deadline).
+ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
+                                    const std::vector<int>& order,
+                                    const ForcedExecOptions& opts,
+                                    ResultSet* out) {
   ForcedExecResult res;
   JoinCursor cursor(&pq, BuildJoinSteps(pq, order));
 
@@ -42,31 +39,13 @@ ForcedExecResult RunForcedOrder(const PreparedQuery& pq,
   JoinLoopExit exit = MultiwayJoinLoop(
       &cursor, order, spec, &state, &stats,
       [&](const PosTuple& tuple) {
-        emit(tuple);
+        out->Append(tuple);
         ++res.tuples_emitted;
       },
       [](int64_t) {});
   res.completed = exit == JoinLoopExit::kCompleted;
   res.intermediate_tuples = stats.intermediate_tuples;
   return res;
-}
-
-}  // namespace
-
-ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
-                                    const std::vector<int>& order,
-                                    const ForcedExecOptions& opts,
-                                    std::vector<PosTuple>* out) {
-  return RunForcedOrder(pq, order, opts,
-                        [out](const PosTuple& t) { out->push_back(t); });
-}
-
-ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
-                                    const std::vector<int>& order,
-                                    const ForcedExecOptions& opts,
-                                    ResultSet* out) {
-  return RunForcedOrder(pq, order, opts,
-                        [out](const PosTuple& t) { out->Append(t); });
 }
 
 }  // namespace skinner

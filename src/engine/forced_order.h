@@ -32,16 +32,11 @@ struct ForcedExecResult {
 };
 
 /// Tuple-at-a-time (pipelined) execution of one forced join order, driving
-/// the shared engine/multiway_join step loop to completion (or deadline).
-/// This is the "generic SQL engine with forced join orders" role that
-/// Postgres plays in the paper: per-tuple interpretation overhead,
-/// pipelined, abortable at tuple granularity.
-ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
-                                    const std::vector<int>& order,
-                                    const ForcedExecOptions& opts,
-                                    std::vector<PosTuple>* out);
-
-/// Same, appending into a flat ResultSet (the Database join sink).
+/// the shared engine/multiway_join step loop to completion (or deadline)
+/// and appending every result tuple to `out`. This is the "generic SQL
+/// engine with forced join orders" role that Postgres plays in the paper:
+/// per-tuple interpretation overhead, pipelined, abortable at tuple
+/// granularity.
 ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
                                     const std::vector<int>& order,
                                     const ForcedExecOptions& opts,

@@ -152,7 +152,9 @@ class JoinCursor {
   /// only ever compared by key, and key -> postings is immutable, so
   /// leftover entries from an earlier window are harmless.
   struct Lookahead {
-    static constexpr size_t kWay = HashIndex::kGroupWidth;
+    /// Candidates batch-probed per window: a power of two, because
+    /// NextCandidate refreshes at kWay-aligned positions.
+    static constexpr size_t kWay = 16;
     struct Entry {
       uint64_t key;
       HashIndex::Postings postings;

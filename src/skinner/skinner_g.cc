@@ -93,7 +93,7 @@ bool SkinnerGEngine::Step(uint64_t until, ResultSet* out) {
 
   // The black-box engine buffers results; commit only on success (timed-out
   // partial results cannot be trusted or reused — paper Section 4.3).
-  std::vector<PosTuple> scratch;
+  ResultSet scratch(pq_->num_tables());
   ForcedExecResult r;
   if (opts_.engine == GenericEngineKind::kVolcano) {
     r = ExecuteForcedOrder(*pq_, order, fo, &scratch);
@@ -106,7 +106,7 @@ bool SkinnerGEngine::Step(uint64_t until, ResultSet* out) {
   if (r.completed) {
     ++stats_.successes;
     batches_done_[static_cast<size_t>(leftmost)] += 1;
-    for (const auto& tup : scratch) out->Append(tup);
+    scratch.ForEach([out](const int32_t* tup) { out->Append(tup); });
     tree->RewardUpdate(order, 1.0);
   } else {
     tree->RewardUpdate(order, 0.0);

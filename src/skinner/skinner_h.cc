@@ -29,7 +29,7 @@ Status SkinnerHEngine::Run(ResultSet* out) {
       ForcedExecOptions fo;
       fo.min_pos = learner_.MinPositions();
       fo.deadline = std::min(clock->now() + slice, opts_.deadline);
-      std::vector<PosTuple> scratch;
+      ResultSet scratch(pq_->num_tables());
       ForcedExecResult r;
       if (opts_.g.engine == GenericEngineKind::kVolcano) {
         r = ExecuteForcedOrder(*pq_, optimizer_order_, fo, &scratch);
@@ -40,7 +40,7 @@ Status SkinnerHEngine::Run(ResultSet* out) {
       }
       ++stats_.optimizer_rounds;
       if (r.completed) {
-        for (const auto& tup : scratch) out->Append(tup);
+        scratch.ForEach([out](const int32_t* tup) { out->Append(tup); });
         stats_.finished_by_optimizer = true;
         break;
       }

@@ -52,7 +52,7 @@ class EngineTest : public ::testing::Test {
 
 TEST_F(EngineTest, VolcanoFullJoin) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   ForcedExecResult r = ExecuteForcedOrder(*pq_, {0, 1}, {}, &out);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(out.size(), 16u);  // 4 keys x 2 x 2
@@ -63,8 +63,8 @@ TEST_F(EngineTest, VolcanoFullJoin) {
 TEST_F(EngineTest, VolcanoAndBlockAgree) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   for (auto order : {std::vector<int>{0, 1}, std::vector<int>{1, 0}}) {
-    std::vector<PosTuple> v_out;
-    std::vector<PosTuple> b_out;
+    ResultSet v_out(pq_->num_tables());
+    ResultSet b_out(pq_->num_tables());
     EXPECT_TRUE(ExecuteForcedOrder(*pq_, order, {}, &v_out).completed);
     EXPECT_TRUE(ExecuteBlock(*pq_, order, {}, &b_out).completed);
     EXPECT_EQ(v_out.size(), b_out.size());
@@ -76,7 +76,7 @@ TEST_F(EngineTest, LeftmostRangeRestrictsBatch) {
   ForcedExecOptions fo;
   fo.left_from = 0;
   fo.left_to = 2;  // a positions 0,1 only: keys 0,1 -> 2 matches each
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, fo, &out).completed);
   EXPECT_EQ(out.size(), 4u);
 }
@@ -85,7 +85,7 @@ TEST_F(EngineTest, MinPosExcludesProcessedTuples) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   ForcedExecOptions fo;
   fo.min_pos = {0, 4};  // exclude b positions 0..3 (keys 0..3 once)
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, fo, &out).completed);
   EXPECT_EQ(out.size(), 8u);  // each a row matches 1 remaining b row
 }
@@ -94,13 +94,13 @@ TEST_F(EngineTest, DeadlineAborts) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   ForcedExecOptions fo;
   fo.deadline = clock_.now() + 3;
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   ForcedExecResult r = ExecuteForcedOrder(*pq_, {0, 1}, fo, &out);
   EXPECT_FALSE(r.completed);
   // Block checks the deadline too.
   BlockExecOptions bo;
   bo.deadline = clock_.now() + 3;
-  std::vector<PosTuple> b_out;
+  ResultSet b_out(pq_->num_tables());
   EXPECT_FALSE(ExecuteBlock(*pq_, {0, 1}, bo, &b_out).completed);
 }
 
@@ -108,13 +108,13 @@ TEST_F(EngineTest, BlockIntermediateCapAborts) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   BlockExecOptions bo;
   bo.max_intermediate = 4;
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   EXPECT_FALSE(ExecuteBlock(*pq_, {0, 1}, bo, &out).completed);
 }
 
 TEST_F(EngineTest, SingleTableScan) {
   Prepare("SELECT COUNT(*) FROM a WHERE a.k < 2");
-  std::vector<PosTuple> out;
+  ResultSet out(pq_->num_tables());
   ForcedExecResult r = ExecuteForcedOrder(*pq_, {0}, {}, &out);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(out.size(), 4u);  // k in {0,1}: rows 0,1,4,5
@@ -122,12 +122,13 @@ TEST_F(EngineTest, SingleTableScan) {
 
 TEST_F(EngineTest, PosTuplesIndexedByTable) {
   Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
-  std::vector<PosTuple> fwd;
-  std::vector<PosTuple> rev;
+  ResultSet fwd(pq_->num_tables());
+  ResultSet rev(pq_->num_tables());
   EXPECT_TRUE(ExecuteForcedOrder(*pq_, {0, 1}, {}, &fwd).completed);
   EXPECT_TRUE(ExecuteForcedOrder(*pq_, {1, 0}, {}, &rev).completed);
   // Same result set regardless of execution order (table-indexed tuples).
-  auto canon = [](std::vector<PosTuple> v) {
+  auto canon = [](const ResultSet& rs) {
+    std::vector<PosTuple> v = rs.ToVector();
     std::sort(v.begin(), v.end());
     return v;
   };
@@ -212,15 +213,15 @@ TEST(DriverRuleTest, Q9uDriverIgnoresWhereOrder) {
       EXPECT_EQ(driving_col(fwd_steps[d]), driving_col(rev_steps[d]))
           << "step " << d;
     }
-    std::vector<PosTuple> fwd_rows;
-    std::vector<PosTuple> rev_rows;
+    ResultSet fwd_rows(fwd.pq->num_tables());
+    ResultSet rev_rows(rev.pq->num_tables());
     const uint64_t fwd_start = fwd.clock.now();
     const uint64_t rev_start = rev.clock.now();
     ASSERT_TRUE(ExecuteForcedOrder(*fwd.pq, order, {}, &fwd_rows).completed);
     ASSERT_TRUE(ExecuteForcedOrder(*rev.pq, order, {}, &rev_rows).completed);
     EXPECT_EQ(fwd.clock.now() - fwd_start, rev.clock.now() - rev_start);
-    EXPECT_FALSE(fwd_rows.empty());
-    EXPECT_EQ(fwd_rows, rev_rows);
+    EXPECT_GT(fwd_rows.size(), 0u);
+    EXPECT_EQ(fwd_rows.ToVector(), rev_rows.ToVector());
   }
 }
 

@@ -124,7 +124,7 @@ TEST_F(SkinnerHTest, RegretVsTraditionalBounded) {
     auto pq2 = PreparedQuery::Prepare(query_.get(), info_.get(),
                                       catalog_.string_pool(), &clock, {});
     ASSERT_TRUE(pq2.ok());
-    std::vector<PosTuple> out;
+    ResultSet out(pq2.value()->num_tables());
     ExecuteForcedOrder(*pq2.value(), {0, 1}, {}, &out);
     direct_cost = clock.now();
   }
