@@ -38,7 +38,7 @@ ForcedExecResult ExecuteForcedOrder(const PreparedQuery& pq,
   JoinLoopStats stats;
   JoinLoopExit exit = MultiwayJoinLoop(
       &cursor, order, spec, &state, &stats,
-      [&](const PosTuple& tuple) {
+      [&](const int32_t* tuple) {
         out->Append(tuple);
         ++res.tuples_emitted;
       },

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/multiway_join.h"
+#include "exec/result_set.h"
 
 namespace skinner {
 

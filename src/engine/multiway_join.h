@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "exec/prepared_query.h"
-#include "exec/result_set.h"
 
 namespace skinner {
 
@@ -286,7 +285,8 @@ struct JoinLoopStats {
 /// are re-bound here); pos[depth] is the untested candidate, or -1/past
 /// left_to if exhausted.
 ///
-/// `emit(tuple)` receives each full result as a table-indexed PosTuple.
+/// `emit(tuple)` receives each full result as a `const int32_t*` to m
+/// table-indexed positions, valid only during the call.
 /// `left_advanced(p)` reports that every leftmost position < p is now
 /// fully joined (Skinner-C advances its offset; others ignore it).
 template <class EmitFn, class LeftFn>
@@ -300,7 +300,7 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
   int i = state->depth;
   for (int d = 0; d < i; ++d) cursor->Bind(d, pos[static_cast<size_t>(d)]);
 
-  PosTuple tuple(static_cast<size_t>(m), -1);
+  std::vector<int32_t> tuple(static_cast<size_t>(m), -1);
   // Bumps a depth-d candidate past published fully-joined ranges: every
   // result tuple using such a position was already emitted when its table
   // ran as a leftmost, so re-enumerating it can only produce duplicates.
@@ -373,7 +373,7 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
         tuple[static_cast<size_t>(order[static_cast<size_t>(d)])] =
             static_cast<int32_t>(pos[static_cast<size_t>(d)]);
       }
-      emit(tuple);
+      emit(tuple.data());
       pos[static_cast<size_t>(i)] =
           skip_published(i, cursor->NextCandidate(i, p));
       continue;

@@ -3,113 +3,33 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-
-#include "common/hash_util.h"
+#include <limits>
 
 namespace skinner {
 
 namespace {
-constexpr size_t kInitialTableCap = 16;  // slots; power of two
 
-size_t RoundUpPow2(int n) {
-  size_t p = 1;
-  while (p < static_cast<size_t>(n < 1 ? 1 : n)) p <<= 1;
-  return p;
-}
+/// The counting pass runs when the first column spans at most this many
+/// values per row; its bucket array then costs at most 16 bytes per row.
+constexpr uint64_t kCountingRangePerRow = 4;
 
-uint64_t HashTupleOf(const int32_t* tuple, int width) {
-  uint64_t seed = static_cast<uint64_t>(width);
-  for (int i = 0; i < width; ++i) {
-    HashCombine(&seed, static_cast<uint64_t>(static_cast<uint32_t>(tuple[i])));
+/// Lexicographic order of two rows over columns [from, width), signed per
+/// column (std::vector<int32_t>'s operator<).
+struct RowLess {
+  int from;
+  int width;
+  bool operator()(const int32_t* a, const int32_t* b) const {
+    for (int c = from; c < width; ++c) {
+      if (a[c] != b[c]) return a[c] < b[c];
+    }
+    return false;
   }
-  return seed;
-}
+};
+
 }  // namespace
 
-ResultSet::ResultSet(int width, int num_shards)
-    : width_(width),
-      striped_(num_shards > 1),
-      shards_(RoundUpPow2(num_shards)),
-      shard_mask_(shards_.size() - 1) {}
-
-size_t ResultSet::size() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) n += s.count;
-  return n;
-}
-
-size_t ResultSet::bytes() const {
-  size_t b = 0;
-  for (const Shard& s : shards_) {
-    b += s.buffer.capacity() * sizeof(int32_t) +
-         s.table.capacity() * sizeof(uint32_t);
-  }
-  return b;
-}
-
-void ResultSet::Append(const int32_t* tuple) {
-  Shard& s = shards_[0];
-  // Append bypasses the dedup table and the stripe locks: mixing it with
-  // Insert() on one instance would hide duplicates from later Inserts, and
-  // appending into a striped (concurrent) set is a data race.
-  assert(!striped_ && s.table.empty() &&
-         "ResultSet::Append on a striped or deduplicating instance");
-  s.buffer.insert(s.buffer.end(), tuple, tuple + width_);
-  ++s.count;
-}
-
-uint64_t ResultSet::HashTuple(const int32_t* tuple) const {
-  return HashTupleOf(tuple, width_);
-}
-
-void ResultSet::GrowShardTable(Shard* shard, int width) {
-  size_t cap =
-      shard->table.empty() ? kInitialTableCap : shard->table.size() * 2;
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t mask = cap - 1;
-  for (uint32_t entry : shard->table) {
-    if (entry == 0) continue;
-    const int32_t* t =
-        shard->buffer.data() + static_cast<size_t>(entry - 1) * width;
-    size_t i = HashTupleOf(t, width) & mask;
-    while (fresh[i] != 0) i = (i + 1) & mask;
-    fresh[i] = entry;
-  }
-  shard->table = std::move(fresh);
-}
-
-bool ResultSet::InsertIntoShard(Shard* shard, const int32_t* tuple,
-                                uint64_t hash) {
-  // Grow at 50% load so probe chains stay short.
-  if (shard->table.empty() || (shard->count + 1) * 2 > shard->table.size()) {
-    GrowShardTable(shard, width_);
-  }
-  const size_t mask = shard->table.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    uint32_t entry = shard->table[i];
-    if (entry == 0) {
-      shard->buffer.insert(shard->buffer.end(), tuple, tuple + width_);
-      ++shard->count;
-      shard->table[i] = static_cast<uint32_t>(shard->count);  // index + 1
-      return true;
-    }
-    const int32_t* stored =
-        shard->buffer.data() + static_cast<size_t>(entry - 1) * width_;
-    if (std::memcmp(stored, tuple, sizeof(int32_t) * static_cast<size_t>(
-                                       width_)) == 0) {
-      return false;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-bool ResultSet::Insert(const int32_t* tuple) {
-  uint64_t hash = HashTuple(tuple);
-  Shard& shard = shards_[hash & shard_mask_];
-  if (!striped_) return InsertIntoShard(&shard, tuple, hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return InsertIntoShard(&shard, tuple, hash);
+ResultSet::ResultSet(int width) : width_(width) {
+  assert(width >= 1 && "ResultSet needs at least one column");
 }
 
 std::vector<PosTuple> ResultSet::ToVector() const {
@@ -120,22 +40,79 @@ std::vector<PosTuple> ResultSet::ToVector() const {
 }
 
 void ResultSet::ExportSorted(std::vector<PosTuple>* out) const {
-  MergeSortedUnique({this}, out);
+  ResultSet sorted(width_);
+  MergeSortedUnique({this}, &sorted);
+  out->reserve(out->size() + sorted.size());
+  sorted.ForEach([&](const int32_t* t) { out->emplace_back(t, t + width_); });
 }
 
 void ResultSet::MergeSortedUnique(const std::vector<const ResultSet*>& parts,
-                                  std::vector<PosTuple>* out) {
-  size_t total = 0;
-  for (const ResultSet* p : parts) total += p->size();
-  std::vector<PosTuple> all;
-  all.reserve(total);
+                                  ResultSet* out) {
+  const int w = out->width_;
+  size_t n = 0;
+  int32_t lo = std::numeric_limits<int32_t>::max();
+  int32_t hi = std::numeric_limits<int32_t>::min();
   for (const ResultSet* p : parts) {
-    p->ForEach([&](const int32_t* t) { all.emplace_back(t, t + p->width()); });
+    assert(p->width_ == w && p != out);
+    n += p->size();
+    p->ForEach([&](const int32_t* row) {
+      lo = std::min(lo, row[0]);
+      hi = std::max(hi, row[0]);
+    });
   }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  out->reserve(out->size() + all.size());
-  for (PosTuple& t : all) out->push_back(std::move(t));
+  if (n == 0) return;
+
+  std::vector<const int32_t*> rows(n);
+  const uint64_t range =
+      static_cast<uint64_t>(static_cast<int64_t>(hi) - lo) + 1;
+  if (range <= kCountingRangePerRow * n &&
+      n <= std::numeric_limits<uint32_t>::max()) {
+    // Counting pass on the first column: next[v] becomes the start of the
+    // bucket of value lo + v, and after the scatter the end of it.
+    auto bucket = [lo](const int32_t* row) {
+      return static_cast<size_t>(static_cast<int64_t>(row[0]) - lo);
+    };
+    std::vector<uint32_t> next(range + 1, 0);
+    for (const ResultSet* p : parts) {
+      p->ForEach([&](const int32_t* row) { ++next[bucket(row) + 1]; });
+    }
+    for (uint64_t v = 1; v <= range; ++v) next[v] += next[v - 1];
+    for (const ResultSet* p : parts) {
+      p->ForEach([&](const int32_t* row) { rows[next[bucket(row)]++] = row; });
+    }
+    if (w > 1) {
+      const RowLess rest{1, w};
+      uint32_t begin = 0;
+      for (uint64_t v = 0; v < range; ++v) {
+        const uint32_t end = next[v];
+        if (end - begin > 1) {
+          std::sort(rows.begin() + begin, rows.begin() + end, rest);
+        }
+        begin = end;
+      }
+    }
+  } else {
+    size_t i = 0;
+    for (const ResultSet* p : parts) {
+      p->ForEach([&](const int32_t* row) { rows[i++] = row; });
+    }
+    std::sort(rows.begin(), rows.end(), RowLess{0, w});
+  }
+
+  // Equal rows are adjacent now; write each distinct row once.
+  const size_t row_bytes = sizeof(int32_t) * static_cast<size_t>(w);
+  size_t distinct = 1;
+  for (size_t i = 1; i < n; ++i) {
+    distinct += std::memcmp(rows[i - 1], rows[i], row_bytes) != 0;
+  }
+  std::vector<int32_t>& dst = out->buffer_;
+  size_t off = dst.size();
+  dst.resize(off + distinct * static_cast<size_t>(w));
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && std::memcmp(rows[i - 1], rows[i], row_bytes) == 0) continue;
+    std::memcpy(dst.data() + off, rows[i], row_bytes);
+    off += static_cast<size_t>(w);
+  }
 }
 
 }  // namespace skinner

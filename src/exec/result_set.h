@@ -1,8 +1,8 @@
 #ifndef SKINNER_EXEC_RESULT_SET_H_
 #define SKINNER_EXEC_RESULT_SET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace skinner {
@@ -12,97 +12,72 @@ using PosTuple = std::vector<int32_t>;
 
 /// Compact join-result accumulator shared by every engine (paper Figure 2:
 /// the join phase emits tuple-index vectors). Tuples are fixed-width
-/// int32_t position vectors stored back to back in a flat buffer — no
+/// int32_t position vectors stored back to back in one flat buffer — no
 /// per-tuple allocation, exact byte accounting, cache-friendly scans.
 ///
-/// Two ingestion modes:
-///  - Append(): plain ordered append (Skinner-G/H commits, baselines,
-///    forced-order engines — each tuple is produced exactly once).
-///  - Insert(): append-if-absent via an open-addressing probe table over
-///    the buffer (Skinner-C, which may re-emit tuples when resuming from a
-///    shared-prefix frontier, paper 4.5).
+/// One ingestion mode: Append(), a plain ordered append. Engines that
+/// produce each tuple exactly once (Skinner-G/H commits, baselines,
+/// forced-order execution) append their final result. Skinner-C may emit
+/// a tuple more than once — resuming from a shared-prefix frontier
+/// re-derives tuples (paper 4.5), and parallel workers can overlap — so
+/// each of its workers appends everything it emits into a private set and
+/// MergeSortedUnique removes the duplicates once, at export.
 ///
-/// Concurrency: construct with `num_shards > 1` and Insert() becomes
-/// thread-safe — tuples are routed by hash to one of `num_shards`
-/// sub-stores, each guarded by its own mutex (a striped lock), which is
-/// how parallel Skinner-C workers share one result set (paper 4.4).
-/// Append() and all readers are single-threaded by contract.
+/// Not thread-safe: one writer, no concurrent readers.
 class ResultSet {
  public:
-  /// `width`: ints per tuple (= number of tables). `num_shards` must be a
-  /// power of two; shards beyond 1 enable the striped-lock Insert path.
-  explicit ResultSet(int width, int num_shards = 1);
+  /// `width`: ints per tuple (= number of tables), at least 1.
+  explicit ResultSet(int width);
 
   int width() const { return width_; }
 
-  /// Total tuples stored (distinct tuples under Insert()).
-  size_t size() const;
+  /// Tuples stored, duplicates included.
+  size_t size() const { return buffer_.size() / static_cast<size_t>(width_); }
 
-  /// Exact heap footprint (buffers + probe tables).
-  size_t bytes() const;
+  /// Exact heap footprint of the buffer.
+  size_t bytes() const { return buffer_.capacity() * sizeof(int32_t); }
 
-  /// Appends without dedup. Single-threaded.
-  void Append(const int32_t* tuple);
+  void Append(const int32_t* tuple) {
+    buffer_.insert(buffer_.end(), tuple, tuple + width_);
+  }
   void Append(const PosTuple& tuple) { Append(tuple.data()); }
 
-  /// Appends `tuple` unless an equal tuple is already stored; returns true
-  /// if the tuple was new. Thread-safe iff num_shards > 1.
-  bool Insert(const int32_t* tuple);
-  bool Insert(const PosTuple& tuple) { return Insert(tuple.data()); }
-
   /// Visits every stored tuple as a const int32_t* of `width` ints, in
-  /// shard order (= insertion order for single-shard sets).
+  /// insertion order.
   template <class Fn>
   void ForEach(Fn&& fn) const {
-    for (const Shard& s : shards_) {
-      for (size_t off = 0; off + static_cast<size_t>(width_) <= s.buffer.size();
-           off += static_cast<size_t>(width_)) {
-        fn(s.buffer.data() + off);
-      }
+    const size_t w = static_cast<size_t>(width_);
+    for (size_t off = 0; off < buffer_.size(); off += w) {
+      fn(buffer_.data() + off);
     }
   }
 
-  /// Materializes all tuples (ForEach order).
+  /// Materializes all tuples (insertion order).
   std::vector<PosTuple> ToVector() const;
 
-  /// Appends all tuples to `out` in canonical (lexicographically sorted)
-  /// order — deterministic regardless of shard count or thread schedule.
-  /// Single-set shorthand for MergeSortedUnique, so the canonical-export
-  /// semantics live in exactly one place (duplicates, impossible on the
-  /// Insert-dedup sets this is called on, would be dropped).
+  /// Appends the distinct tuples to `out` in canonical (lexicographically
+  /// sorted) order. A PosTuple adapter over MergeSortedUnique({this}).
   void ExportSorted(std::vector<PosTuple>* out) const;
 
-  /// Merges several result sets into `out` in canonical sorted order,
-  /// dropping duplicates across (and within) the parts. This is the export
-  /// path for chunk-stealing parallel Skinner-C: each worker owns a private
-  /// unsynchronized result set (no locks on the emit hot path; per-worker
-  /// Insert() dedups locally), and cross-worker duplicates — one worker
-  /// re-emits a tuple another worker produced, e.g. after stealing a chunk
-  /// resumed from a shared-prefix frontier — are dropped here, so the
-  /// merged export is bit-identical for any thread count or schedule.
+  /// Appends the distinct tuples of all `parts` to `out` in canonical
+  /// (lexicographically sorted, signed int32_t per column) order, dropping
+  /// duplicates within and across parts; rows already in `out` are kept
+  /// as they are. The result depends only on the multiset union of the
+  /// parts, so the export is bit-identical for any split of the same
+  /// tuples across parts — any thread count or schedule. `out` must have
+  /// the parts' width and must not be one of them.
+  ///
+  /// Sorts row pointers, never copying a row before it is written to
+  /// `out`: a counting pass buckets rows by their first column when that
+  /// column's value range is small against the row count, and each bucket
+  /// is then sorted by the remaining columns; otherwise one comparison
+  /// sort orders all rows.
   static void MergeSortedUnique(const std::vector<const ResultSet*>& parts,
-                                std::vector<PosTuple>* out);
+                                ResultSet* out);
 
  private:
-  struct Shard {
-    std::vector<int32_t> buffer;   // width-strided tuples
-    std::vector<uint32_t> table;   // tuple index + 1; 0 = empty (Insert only)
-    size_t count = 0;
-    std::mutex mu;
-
-    Shard() = default;
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-  };
-
-  uint64_t HashTuple(const int32_t* tuple) const;
-  bool InsertIntoShard(Shard* shard, const int32_t* tuple, uint64_t hash);
-  static void GrowShardTable(Shard* shard, int width);
-
   int width_;
-  bool striped_;  // lock shards on Insert
-  std::vector<Shard> shards_;
-  size_t shard_mask_;
+  std::vector<int32_t> buffer_;  // width-strided tuples
 };
 
 }  // namespace skinner

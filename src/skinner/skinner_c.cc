@@ -13,10 +13,6 @@ UctOptions MakeUctOptions(const SkinnerCOptions& opts) {
   return u;
 }
 
-/// Result-set shards for the parallel striped-lock Insert path. More
-/// stripes than typical worker counts keeps contention negligible.
-constexpr int kParallelShards = 16;
-
 ThreadLease MaybeLease(const SkinnerCOptions& opts) {
   if (opts.scheduler == nullptr || opts.num_threads <= 1) return ThreadLease();
   return opts.scheduler->LeaseThreads(opts.num_threads);
@@ -37,8 +33,7 @@ SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
     : pq_(pq),
       lease_(MaybeLease(opts)),
       opts_(ClampToLease(opts, lease_)),
-      uct_(&pq->info(), MakeUctOptions(opts)),
-      result_(pq->num_tables(), opts_.num_threads > 1 ? kParallelShards : 1) {
+      uct_(&pq->info(), MakeUctOptions(opts)) {
   if (opts_.warm_start_order.size() ==
       static_cast<size_t>(pq->num_tables())) {
     uct_.SeedPriors(opts_.warm_start_order, opts_.warm_start_visits,
@@ -185,7 +180,7 @@ void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
 
   JoinLoopExit exit = MultiwayJoinLoop(
       cursor, order, spec, &state, &w->loop_stats,
-      [&](const PosTuple& tuple) { result_.Insert(tuple); },
+      [&](const int32_t* tuple) { w->local.Append(tuple); },
       [&](int64_t p) {
         int64_t& off = w->offset[static_cast<size_t>(t0)];
         off = std::max(off, p);
@@ -338,7 +333,7 @@ double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
   const uint64_t steps_before = w->loop_stats.steps;
   JoinLoopExit exit = MultiwayJoinLoop(
       cursor, order, spec, &state, &w->loop_stats,
-      [&](const PosTuple& tuple) { w->local.Insert(tuple); },
+      [&](const int32_t* tuple) { w->local.Append(tuple); },
       [&](int64_t p) { shared_->Publish(t0, chunk_id, p); });
   const uint64_t chunk_steps = w->loop_stats.steps - steps_before;
   *budget_left -= static_cast<int64_t>(chunk_steps);
@@ -396,7 +391,7 @@ size_t SkinnerCEngine::AuxiliaryBytes() const {
   size_t progress_nodes = 0;
   for (const auto& w : workers_) progress_nodes += w->progress.num_nodes();
   if (shared_ != nullptr) progress_nodes += shared_->num_progress_nodes();
-  size_t result_bytes = result_.bytes();
+  size_t result_bytes = 0;
   for (const auto& w : workers_) result_bytes += w->local.bytes();
   return result_bytes +
          progress_nodes * (sizeof(void*) * 4 + sizeof(int64_t) * m / 2) +
@@ -511,8 +506,8 @@ Status SkinnerCEngine::Run(ResultSet* out) {
     reward /= static_cast<double>(T);
     uct_.RewardUpdate(order, reward);
     ++stats_.slices;
+    stats_.order_selections[order] += 1;
     if (opts_.collect_trace) {
-      stats_.order_selections[order] += 1;
       if (stats_.slices % 16 == 1) {
         stats_.tree_growth.emplace_back(stats_.slices, uct_.num_nodes());
       }
@@ -536,24 +531,32 @@ Status SkinnerCEngine::Run(ResultSet* out) {
     stats_.progress_nodes += w->progress.num_nodes();
     stats_.intermediate_tuples += w->loop_stats.intermediate_tuples;
   }
-  stats_.final_order = uct_.BestOrder();
-
-  // Canonical export: sorted position tuples, so the emitted rows are
-  // bit-identical regardless of thread count, parallel mode, shard layout,
-  // or thread schedule. Under stealing each worker owns a private result
-  // set, so cross-worker duplicates are dropped during the merge here.
-  std::vector<PosTuple> sorted;
-  if (stealing()) {
-    std::vector<const ResultSet*> parts;
-    parts.reserve(workers_.size());
-    for (const auto& w : workers_) parts.push_back(&w->local);
-    ResultSet::MergeSortedUnique(parts, &sorted);
-  } else {
-    result_.ExportSorted(&sorted);
+  // Report the order that ran the most slices (ties: the lexicographically
+  // smallest, the map's first), so the final order is one that ran. The
+  // UCT tree's most-visited path can differ: below its expanded part,
+  // BestOrder() fills in tables without the rollout that slices used.
+  uint64_t most_slices = 0;
+  for (const auto& [order, n] : stats_.order_selections) {
+    if (n > most_slices) {
+      most_slices = n;
+      stats_.final_order = order;
+    }
   }
-  stats_.result_tuples = sorted.size();
+  if (most_slices == 0) stats_.final_order = uct_.BestOrder();
+
+  // Canonical export: every worker's appended emits, duplicates included,
+  // merged into sorted distinct position tuples, so the rows are
+  // bit-identical regardless of thread count, parallel mode or schedule.
+  std::vector<const ResultSet*> parts;
+  parts.reserve(workers_.size());
+  for (const auto& w : workers_) {
+    parts.push_back(&w->local);
+    stats_.emitted_tuples += w->local.size();
+  }
   stats_.auxiliary_bytes = AuxiliaryBytes();
-  for (const PosTuple& t : sorted) out->Append(t);
+  const size_t before = out->size();
+  ResultSet::MergeSortedUnique(parts, out);
+  stats_.result_tuples = out->size() - before;
   return Status::OK();
 }
 

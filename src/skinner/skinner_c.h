@@ -111,7 +111,14 @@ struct SkinnerCStats {
   uint64_t slices = 0;
   size_t uct_nodes = 0;
   size_t progress_nodes = 0;
+  /// Distinct result tuples exported.
   uint64_t result_tuples = 0;
+  /// Result tuples emitted by the join loop, duplicates included: a tuple
+  /// is re-emitted when a slice resumes from a shared-prefix frontier or
+  /// when parallel workers overlap. emitted / result is the duplicate
+  /// ratio; the append-only worker buffers hold all emitted tuples until
+  /// the export removes the duplicates.
+  uint64_t emitted_tuples = 0;
   /// Accumulated intermediate tuples produced (C_out actually paid),
   /// comparable to the traditional engines' counter (paper Tables 1/2).
   uint64_t intermediate_tuples = 0;
@@ -127,10 +134,12 @@ struct SkinnerCStats {
   std::vector<int> final_order;
   /// Sampled (slice, materialized UCT nodes) pairs; trace only.
   std::vector<std::pair<uint64_t, size_t>> tree_growth;
-  /// Slice count per distinct join order chosen; trace only.
+  /// Slice count per distinct join order chosen. final_order is the key
+  /// with the most slices.
   std::map<std::vector<int>, uint64_t> order_selections;
-  /// Bytes held in result set (exact — the flat ResultSet tracks its own
-  /// footprint) plus estimated progress-tree and UCT-tree node costs.
+  /// Bytes held in the workers' result buffers, duplicates included
+  /// (exact — the flat ResultSet tracks its own footprint), plus estimated
+  /// progress-tree and UCT-tree node costs.
   size_t auxiliary_bytes = 0;
   /// Per-slice auxiliary_bytes samples (trace only). Monotone
   /// non-decreasing: all three structures are append-only.
@@ -152,9 +161,9 @@ class SkinnerCEngine {
   SkinnerCEngine(const SkinnerCEngine&) = delete;
   SkinnerCEngine& operator=(const SkinnerCEngine&) = delete;
 
-  /// Runs to completion (or deadline); appends result position tuples in
-  /// canonical (lexicographically sorted) order — bit-identical for any
-  /// num_threads, parallel mode, or thread schedule.
+  /// Runs to completion (or deadline); appends the distinct result position
+  /// tuples to `out` in canonical (lexicographically sorted) order —
+  /// bit-identical for any num_threads, parallel mode, or thread schedule.
   Status Run(ResultSet* out);
 
   const SkinnerCStats& stats() const { return stats_; }
@@ -165,7 +174,7 @@ class SkinnerCEngine {
   /// members carry per-worker state for the sequential and static-stripe
   /// paths; under chunk stealing the equivalent state lives per chunk in
   /// the shared board and workers keep only cursors, clock, and the
-  /// private result sink.
+  /// private result buffer.
   struct Worker {
     int id = 0;
     std::vector<int64_t> stripe_lo;  // per table
@@ -178,8 +187,9 @@ class SkinnerCEngine {
     JoinLoopStats loop_stats;
     double slice_reward = 0;
     bool slice_done = false;
-    /// Chunk stealing: worker-private result sink (no locks on the emit
-    /// path); merged sorted-unique across workers at export.
+    /// Worker-private, append-only result buffer (no locks and no dedup
+    /// on the emit path): every tuple this worker emits, duplicates
+    /// included. Run() merges all workers' buffers sorted-unique at export.
     ResultSet local;
 
     explicit Worker(int num_tables)
@@ -255,6 +265,8 @@ class SkinnerCEngine {
   /// complete): all stripes consumed, or all chunks published complete.
   bool CompletedTable() const;
 
+  /// Bytes of the workers' result buffers plus estimated progress-tree and
+  /// UCT-tree node costs (SkinnerCStats::auxiliary_bytes).
   size_t AuxiliaryBytes() const;
 
   // Parallel machinery (num_threads > 1): a persistent worker pool with a
@@ -270,7 +282,6 @@ class SkinnerCEngine {
   ThreadLease lease_;
   SkinnerCOptions opts_;
   JoinOrderUct uct_;
-  ResultSet result_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<int64_t> zero_lower_;  // descend lower bounds when T > 1
   SkinnerCStats stats_;

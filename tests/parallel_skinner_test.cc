@@ -1,13 +1,18 @@
 // Property tests for search-parallel Skinner-C (paper Section 4.4): for
 // any worker count, the engine must produce the exact same join result —
 // the canonical (sorted) tuple export is bit-identical and result_tuples
-// agrees — on adversarial torture-generator workloads. Runs under the
-// ThreadSanitizer CI job, which exercises the per-slice barrier, the
-// striped-lock result set, and the per-worker clocks for races.
+// agrees — on adversarial torture-generator workloads and on the
+// duplicate-heavy JOB queries. Runs under the ThreadSanitizer CI job,
+// which exercises the per-slice barrier, the per-worker result buffers,
+// and the per-worker clocks for races.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "benchgen/job.h"
 #include "benchgen/torture.h"
+#include "engine/forced_order.h"
 #include "exec/prepared_query.h"
 #include "skinner/skinner_c.h"
 #include "test_util.h"
@@ -24,33 +29,55 @@ using ::skinner::bench::TortureSpec;
 struct RunOutput {
   std::vector<PosTuple> tuples;  // canonical order
   uint64_t result_tuples = 0;
+  uint64_t emitted_tuples = 0;
+  std::vector<int> final_order;
   bool timed_out = false;
 };
+
+/// A pre-processed query plus the bound query and analysis it points to.
+struct Prepared {
+  std::unique_ptr<BoundQuery> bound;
+  std::unique_ptr<QueryInfo> info;
+  std::unique_ptr<PreparedQuery> pq;  // null on failure
+};
+
+Prepared PrepareSql(Database* db, const std::string& sql, VirtualClock* clock) {
+  Prepared p;
+  auto bound = db->Bind(sql);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  if (!bound.ok()) return p;
+  p.bound = bound.MoveValue();
+  auto info = QueryInfo::Analyze(*p.bound);
+  EXPECT_TRUE(info.ok());
+  if (!info.ok()) return p;
+  p.info = std::make_unique<QueryInfo>(info.MoveValue());
+  auto pq = PreparedQuery::Prepare(p.bound.get(), p.info.get(),
+                                   db->catalog()->string_pool(), clock, {});
+  EXPECT_TRUE(pq.ok());
+  if (pq.ok()) p.pq = pq.MoveValue();
+  return p;
+}
 
 RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
                       int64_t slice_budget,
                       ParallelMode mode = ParallelMode::kChunkStealing) {
   RunOutput out;
-  auto bound = db->Bind(sql);
-  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
-  if (!bound.ok()) return out;
-  auto info = QueryInfo::Analyze(*bound.value());
-  EXPECT_TRUE(info.ok());
   VirtualClock clock;
-  auto pq = PreparedQuery::Prepare(bound.value().get(), &info.value(),
-                                   db->catalog()->string_pool(), &clock, {});
-  EXPECT_TRUE(pq.ok());
-  if (!pq.ok()) return out;
+  Prepared prep = PrepareSql(db, sql, &clock);
+  if (prep.pq == nullptr) return out;
+  const PreparedQuery* pq = prep.pq.get();
 
   SkinnerCOptions opts;
   opts.num_threads = num_threads;
   opts.slice_budget = slice_budget;
   opts.parallel_mode = mode;
-  SkinnerCEngine engine(pq.value().get(), opts);
-  ResultSet rs(pq.value()->num_tables());
+  SkinnerCEngine engine(pq, opts);
+  ResultSet rs(pq->num_tables());
   EXPECT_TRUE(engine.Run(&rs).ok());
   out.tuples = rs.ToVector();
   out.result_tuples = engine.stats().result_tuples;
+  out.emitted_tuples = engine.stats().emitted_tuples;
+  out.final_order = engine.stats().final_order;
   out.timed_out = engine.stats().timed_out;
   return out;
 }
@@ -245,6 +272,128 @@ TEST(ParallelSkinnerApiTest, RandomQueriesAgreeAcrossThreadCounts) {
         opts.skinner_threads = threads;
         EXPECT_EQ(count1, RunCount(&db, sql, opts))
             << sql << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The JOB workload, generated once per suite: small enough for the TSan
+// job, large enough that Skinner-C re-emits tuples on q05a/q06a/q08a.
+class JobSkinnerCTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new Database;
+    bench::JobSpec spec;
+    spec.num_titles = 600;
+    ASSERT_TRUE(bench::GenerateJob(db_, spec).ok());
+    workload_ = new bench::JobWorkload(bench::JobQueries());
+  }
+  static void TearDownTestSuite() {
+    delete workload_;
+    workload_ = nullptr;
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static const std::string& Sql(const std::string& name) {
+    auto it = std::find(workload_->names.begin(), workload_->names.end(), name);
+    EXPECT_NE(it, workload_->names.end()) << name;
+    return workload_->queries[static_cast<size_t>(
+        it - workload_->names.begin())];
+  }
+
+  static Database* db_;
+  static bench::JobWorkload* workload_;
+};
+
+Database* JobSkinnerCTest::db_ = nullptr;
+bench::JobWorkload* JobSkinnerCTest::workload_ = nullptr;
+
+// Skinner-C appends every emit, duplicates included, into per-worker
+// buffers and removes duplicates once at export. On the JOB queries with
+// the most re-emission, the export must equal the sorted distinct result
+// of a forced replay of the query, at every budget, thread count and
+// parallel mode, and result_tuples must count exactly those rows.
+TEST_F(JobSkinnerCTest, DuplicateHeavyQueriesMatchForcedReplay) {
+  uint64_t emitted_total = 0;
+  uint64_t result_total = 0;
+  for (const char* name : {"q05a", "q06a", "q08a"}) {
+    const std::string& sql = Sql(name);
+    VirtualClock clock;
+    Prepared prep = PrepareSql(db_, sql, &clock);
+    ASSERT_NE(prep.pq, nullptr) << name;
+    const PreparedQuery* pq = prep.pq.get();
+    std::vector<int> order(static_cast<size_t>(pq->num_tables()));
+    for (size_t t = 0; t < order.size(); ++t) order[t] = static_cast<int>(t);
+    ResultSet replayed(pq->num_tables());
+    ASSERT_TRUE(ExecuteForcedOrder(*pq, order, ForcedExecOptions{}, &replayed)
+                    .completed);
+    std::vector<PosTuple> want = replayed.ToVector();
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    ASSERT_FALSE(want.empty()) << name;
+
+    for (int64_t budget : {3, 500}) {
+      for (int threads : {1, 2, 4, 8}) {
+        for (ParallelMode mode :
+             {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
+          if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
+          RunOutput got = RunSkinnerC(db_, sql, threads, budget, mode);
+          const std::string where = std::string(name) + " budget=" +
+                                    std::to_string(budget) + " threads=" +
+                                    std::to_string(threads) + " stripe=" +
+                                    std::to_string(
+                                        mode == ParallelMode::kStaticStripe);
+          ASSERT_FALSE(got.timed_out) << where;
+          EXPECT_EQ(got.tuples, want) << where;
+          EXPECT_EQ(got.result_tuples, want.size()) << where;
+          EXPECT_GE(got.emitted_tuples, got.result_tuples) << where;
+          emitted_total += got.emitted_tuples;
+          result_total += got.result_tuples;
+        }
+      }
+    }
+  }
+  // The duplicate path was exercised: some emits were dropped at export.
+  EXPECT_GT(emitted_total, result_total);
+}
+
+// The reported final order is one that ran: on every JOB query it is the
+// key of order_selections with the most slices, and two runs with one seed
+// report the same order. Under chunk stealing the slice sequence itself
+// depends on which worker claims which chunk, so there only the first
+// property can hold; static stripes at 4 threads pin the second.
+TEST_F(JobSkinnerCTest, FinalOrderIsAnOrderThatRan) {
+  for (size_t q = 0; q < workload_->queries.size(); ++q) {
+    const std::string& name = workload_->names[q];
+    for (int threads : {1, 4}) {
+      for (ParallelMode mode :
+           {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
+        if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
+        const std::string where =
+            name + " threads=" + std::to_string(threads) +
+            " stripe=" + std::to_string(mode == ParallelMode::kStaticStripe);
+        ExecOptions opts;
+        opts.engine = EngineKind::kSkinnerC;
+        opts.skinner_threads = threads;
+        opts.skinner_parallel_mode = mode;
+        auto first = db_->Query(workload_->queries[q], opts);
+        auto second = db_->Query(workload_->queries[q], opts);
+        ASSERT_TRUE(first.ok() && second.ok()) << where;
+        for (const ExecutionStats* s :
+             {&first.value().stats, &second.value().stats}) {
+          ASSERT_EQ(s->order_selections.count(s->join_order), 1u) << where;
+          uint64_t most = 0;
+          for (const auto& [order, n] : s->order_selections) {
+            most = std::max(most, n);
+          }
+          EXPECT_EQ(s->order_selections.at(s->join_order), most) << where;
+        }
+        if (threads == 1 || mode == ParallelMode::kStaticStripe) {
+          EXPECT_EQ(first.value().stats.join_order,
+                    second.value().stats.join_order)
+              << where;
+        }
       }
     }
   }
