@@ -2,10 +2,6 @@
 // structures as a function of query size (number of joined tables):
 //  (a) UCT search tree nodes, (b) progress tracker nodes,
 //  (c) result tuple-index set size, (d) combined bytes.
-// The info-only "Emitted" column counts the join loop's emits, duplicates
-// included: Skinner-C appends every emit and deduplicates once at export,
-// so emitted / result tuples is the duplicate ratio its result buffers
-// pay for in Aux Bytes.
 //
 // Paper shape: all grow with query size; the result-index set dominates,
 // followed by the progress tracker and the UCT tree; total memory stays
@@ -30,11 +26,9 @@ int main() {
   JobWorkload w = JobQueries();
 
   TablePrinter table({"Query", "#Tables", "UCT Nodes", "Progress Nodes",
-                      "Result Tuples", "Emitted", "Aux Bytes"});
+                      "Result Tuples", "Aux Bytes"});
   uint64_t total_cost = 0;
   size_t max_aux_bytes = 0;
-  uint64_t result_tuples = 0;
-  uint64_t emitted_tuples = 0;
   for (size_t i = 0; i < w.queries.size(); ++i) {
     ExecOptions opts;
     opts.engine = EngineKind::kSkinnerC;
@@ -44,14 +38,11 @@ int main() {
     const ExecutionStats& s = out.value().stats;
     total_cost += s.total_cost;
     max_aux_bytes = std::max(max_aux_bytes, s.auxiliary_bytes);
-    result_tuples += s.join_result_tuples;
-    emitted_tuples += s.emitted_tuples;
     auto bound = db.Bind(w.queries[i]);
     int tables = bound.ok() ? bound.value()->num_tables() : 0;
     table.AddRow({w.names[i], std::to_string(tables),
                   FormatCount(s.uct_nodes), FormatCount(s.progress_nodes),
                   FormatCount(s.join_result_tuples),
-                  FormatCount(s.emitted_tuples),
                   FormatCount(s.auxiliary_bytes)});
   }
   table.Print();
@@ -60,10 +51,8 @@ int main() {
       "followed by the progress tracker, then the UCT tree; all grow with\n"
       "the number of joined tables.\n");
   std::printf("RESULT bench_memory skinner_c_total_cost=%llu "
-              "max_aux_bytes=%llu result_tuples=%llu emitted_tuples=%llu\n",
+              "max_aux_bytes=%llu\n",
               static_cast<unsigned long long>(total_cost),
-              static_cast<unsigned long long>(max_aux_bytes),
-              static_cast<unsigned long long>(result_tuples),
-              static_cast<unsigned long long>(emitted_tuples));
+              static_cast<unsigned long long>(max_aux_bytes));
   return 0;
 }

@@ -16,16 +16,11 @@
 // Every path must produce the identical checksum: batching is never
 // allowed to be observable in results, only in wall time.
 //
-// The probe paths run in alternating rounds inside one process, each round
-// over its own slice of the probe keys with the path order rotated, so
-// machine drift and noisy neighbours hit every path alike.
-//
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
-//   - batch_vs_scalar_ratio, the median over rounds of the per-round
-//     FindBatch / chained-Find rate ratio: >= 2x is the acceptance floor
-//     (also enforced by the exit code), gated against >25% regressions;
-//   - probes/sec values (all rounds' probes over all rounds' time) are
-//     recorded for trajectory tracking (wall-clock, not gated).
+//   - batch_vs_scalar_ratio >= 2x is the acceptance floor (also enforced
+//     by the exit code), gated against >25% regressions;
+//   - probes/sec values are recorded for trajectory tracking (wall-clock,
+//     not gated).
 
 #include <algorithm>
 #include <chrono>
@@ -63,24 +58,7 @@ uint64_t Checksum(const HashIndex::Postings& p) {
 struct ProbeRate {
   double mprobes_per_sec = 0;
   uint64_t checksum = 0;
-  size_t probes = 0;
-  double seconds = 0;
-
-  /// Folds one round into a running total; the rate becomes the total's.
-  void Add(const ProbeRate& round) {
-    checksum += round.checksum;
-    probes += round.probes;
-    seconds += round.seconds;
-    mprobes_per_sec = static_cast<double>(probes) / seconds / 1e6;
-  }
 };
-
-ProbeRate Finish(ProbeRate r, size_t probes, double t0) {
-  r.probes = probes;
-  r.seconds = NowSeconds() - t0;
-  r.mprobes_per_sec = static_cast<double>(probes) / r.seconds / 1e6;
-  return r;
-}
 
 /// Scalar Find() the way the join's step loop issues it: each probe's key
 /// is only known after the previous probe's postings were read (the
@@ -91,24 +69,30 @@ ProbeRate Finish(ProbeRate r, size_t probes, double t0) {
 /// changing any key. This is the baseline FindBatch exists to beat: the
 /// batch path probes a whole candidate window whose keys are known up
 /// front, with no such chain.
-ProbeRate MeasureScalarChained(const HashIndex& idx, const uint64_t* probes,
-                               size_t n) {
+ProbeRate MeasureScalarChained(const HashIndex& idx,
+                               const std::vector<uint64_t>& probes,
+                               int rounds) {
   ProbeRate out;
   uint64_t dep = 0;
   double t0 = NowSeconds();
-  for (size_t i = 0; i < n; ++i) {
-    out.checksum += Checksum(idx.Find(probes[i] ^ dep));
-    dep = out.checksum;
+  for (int r = 0; r < rounds; ++r) {
+    for (uint64_t key : probes) {
+      out.checksum += Checksum(idx.Find(key ^ dep));
+      dep = out.checksum;
 #if defined(__x86_64__)
-    // dep := 0, but only after `out.checksum` (and thus the probe's
-    // postings read) resolves; `and $0` is not a dependency-breaking
-    // idiom, so the address of the next probe waits on this.
-    asm volatile("andq $0, %0" : "+r"(dep));
+      // dep := 0, but only after `out.checksum` (and thus the probe's
+      // postings read) resolves; `and $0` is not a dependency-breaking
+      // idiom, so the address of the next probe waits on this.
+      asm volatile("andq $0, %0" : "+r"(dep));
 #else
-    dep &= 0;
+      dep &= 0;
 #endif
+    }
   }
-  return Finish(out, n, t0);
+  double secs = NowSeconds() - t0;
+  out.mprobes_per_sec =
+      static_cast<double>(probes.size()) * rounds / secs / 1e6;
+  return out;
 }
 
 /// Scalar Find() over an array of pre-known keys: iterations are
@@ -116,31 +100,36 @@ ProbeRate MeasureScalarChained(const HashIndex& idx, const uint64_t* probes,
 /// (an optimistic upper bound the step loop never reaches; reported for
 /// transparency).
 ProbeRate MeasureScalarIndependent(const HashIndex& idx,
-                                   const uint64_t* probes, size_t n) {
+                                   const std::vector<uint64_t>& probes,
+                                   int rounds) {
   ProbeRate out;
   double t0 = NowSeconds();
-  for (size_t i = 0; i < n; ++i) out.checksum += Checksum(idx.Find(probes[i]));
-  return Finish(out, n, t0);
+  for (int r = 0; r < rounds; ++r) {
+    for (uint64_t key : probes) out.checksum += Checksum(idx.Find(key));
+  }
+  double secs = NowSeconds() - t0;
+  out.mprobes_per_sec =
+      static_cast<double>(probes.size()) * rounds / secs / 1e6;
+  return out;
 }
 
-ProbeRate MeasureBatch(const HashIndex& idx, const uint64_t* probes,
-                       size_t n) {
+ProbeRate MeasureBatch(const HashIndex& idx,
+                       const std::vector<uint64_t>& probes, int rounds) {
   constexpr size_t kChunk = 1024;
   std::vector<HashIndex::Postings> out_buf(kChunk);
   ProbeRate out;
   double t0 = NowSeconds();
-  for (size_t i = 0; i < n; i += kChunk) {
-    size_t len = std::min(kChunk, n - i);
-    idx.FindBatch(probes + i, len, out_buf.data());
-    for (size_t j = 0; j < len; ++j) out.checksum += Checksum(out_buf[j]);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t i = 0; i < probes.size(); i += kChunk) {
+      size_t n = std::min(kChunk, probes.size() - i);
+      idx.FindBatch(probes.data() + i, n, out_buf.data());
+      for (size_t j = 0; j < n; ++j) out.checksum += Checksum(out_buf[j]);
+    }
   }
-  return Finish(out, n, t0);
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t h = v.size() / 2;
-  return v.size() % 2 == 1 ? v[h] : (v[h - 1] + v[h]) / 2;
+  double secs = NowSeconds() - t0;
+  out.mprobes_per_sec =
+      static_cast<double>(probes.size()) * rounds / secs / 1e6;
+  return out;
 }
 
 /// Zipf-skewed chain tables (hot keys clustered at low positions), the
@@ -191,10 +180,7 @@ int main() {
   // batch paths identically and measures the TLB, not the probe path.)
   constexpr int64_t kKeys = 1'000'000;
   constexpr size_t kProbes = 2'000'000;
-  // Rounds of kProbes / kSlices probes each: every path probes every key
-  // kRounds / kSlices = 3 times in total.
-  constexpr int kRounds = 12;
-  constexpr size_t kSlices = 4;
+  constexpr int kRounds = 3;
   HashIndex idx;
   for (int64_t i = 0; i < kKeys; ++i) {
     idx.Add(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull,
@@ -211,27 +197,11 @@ int main() {
   }
 
   // Warm the page tables (not the caches: the working set does not fit).
-  MeasureScalarIndependent(idx, probes.data(), probes.size());
+  MeasureScalarIndependent(idx, probes, 1);
 
-  ProbeRate scalar, scalar_indep, batch;
-  std::vector<double> round_ratios;
-  const size_t slice = kProbes / kSlices;
-  for (int r = 0; r < kRounds; ++r) {
-    const uint64_t* keys = probes.data() + slice * (r % kSlices);
-    ProbeRate s, i, b;
-    // Rotate which path runs first, so none always follows another.
-    for (int k = 0; k < 3; ++k) {
-      switch ((r + k) % 3) {
-        case 0: s = MeasureScalarChained(idx, keys, slice); break;
-        case 1: b = MeasureBatch(idx, keys, slice); break;
-        default: i = MeasureScalarIndependent(idx, keys, slice); break;
-      }
-    }
-    round_ratios.push_back(b.mprobes_per_sec / s.mprobes_per_sec);
-    scalar.Add(s);
-    batch.Add(b);
-    scalar_indep.Add(i);
-  }
+  ProbeRate scalar = MeasureScalarChained(idx, probes, kRounds);
+  ProbeRate scalar_indep = MeasureScalarIndependent(idx, probes, kRounds);
+  ProbeRate batch = MeasureBatch(idx, probes, kRounds);
 
   TablePrinter rates({"Path", "Mprobes/s", "vs scalar Find"});
   auto row = [&](const char* name, const ProbeRate& r) {
@@ -252,13 +222,7 @@ int main() {
               static_cast<unsigned long long>(batch.checksum),
               checksums_ok ? "(identical)" : "(MISMATCH)");
 
-  const double batch_ratio = Median(round_ratios);
-  std::printf("per-round batch/scalar ratios: min %.2f median %.2f max %.2f "
-              "over %d rounds\n",
-              *std::min_element(round_ratios.begin(), round_ratios.end()),
-              batch_ratio,
-              *std::max_element(round_ratios.begin(), round_ratios.end()),
-              kRounds);
+  double batch_ratio = batch.mprobes_per_sec / scalar.mprobes_per_sec;
   double batch_vs_independent =
       batch.mprobes_per_sec / scalar_indep.mprobes_per_sec;
 

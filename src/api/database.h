@@ -126,9 +126,6 @@ struct ExecutionStats {
   /// what the server charges against a session's cache byte share.
   uint64_t cache_bytes_published = 0;
   uint64_t join_result_tuples = 0;
-  /// Skinner-C: join results emitted before the export's deduplication,
-  /// duplicates included (see SkinnerCStats::emitted_tuples); 0 otherwise.
-  uint64_t emitted_tuples = 0;
   /// Accumulated intermediate result cardinality actually produced (the
   /// engine-independent optimizer-quality metric of paper Tables 1/2).
   uint64_t intermediate_tuples = 0;

@@ -230,7 +230,6 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
       out.stats.uct_nodes = s.uct_nodes;
       out.stats.progress_nodes = s.progress_nodes;
       out.stats.auxiliary_bytes = s.auxiliary_bytes;
-      out.stats.emitted_tuples = s.emitted_tuples;
       out.stats.chunk_splits = s.chunk_splits;
       out.stats.timed_out = s.timed_out;
       out.stats.join_order = s.final_order;

@@ -549,10 +549,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
   // bit-identical regardless of thread count, parallel mode or schedule.
   std::vector<const ResultSet*> parts;
   parts.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    parts.push_back(&w->local);
-    stats_.emitted_tuples += w->local.size();
-  }
+  for (const auto& w : workers_) parts.push_back(&w->local);
   stats_.auxiliary_bytes = AuxiliaryBytes();
   const size_t before = out->size();
   ResultSet::MergeSortedUnique(parts, out);

@@ -113,12 +113,6 @@ struct SkinnerCStats {
   size_t progress_nodes = 0;
   /// Distinct result tuples exported.
   uint64_t result_tuples = 0;
-  /// Result tuples emitted by the join loop, duplicates included: a tuple
-  /// is re-emitted when a slice resumes from a shared-prefix frontier or
-  /// when parallel workers overlap. emitted / result is the duplicate
-  /// ratio; the append-only worker buffers hold all emitted tuples until
-  /// the export removes the duplicates.
-  uint64_t emitted_tuples = 0;
   /// Accumulated intermediate tuples produced (C_out actually paid),
   /// comparable to the traditional engines' counter (paper Tables 1/2).
   uint64_t intermediate_tuples = 0;

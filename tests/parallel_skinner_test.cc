@@ -29,8 +29,6 @@ using ::skinner::bench::TortureSpec;
 struct RunOutput {
   std::vector<PosTuple> tuples;  // canonical order
   uint64_t result_tuples = 0;
-  uint64_t emitted_tuples = 0;
-  std::vector<int> final_order;
   bool timed_out = false;
 };
 
@@ -76,10 +74,51 @@ RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
   EXPECT_TRUE(engine.Run(&rs).ok());
   out.tuples = rs.ToVector();
   out.result_tuples = engine.stats().result_tuples;
-  out.emitted_tuples = engine.stats().emitted_tuples;
-  out.final_order = engine.stats().final_order;
   out.timed_out = engine.stats().timed_out;
   return out;
+}
+
+/// The sorted distinct join result of a forced replay of `sql` in table
+/// order: the reference every Skinner-C configuration must export.
+std::vector<PosTuple> ForcedReplaySorted(Database* db, const std::string& sql) {
+  VirtualClock clock;
+  Prepared prep = PrepareSql(db, sql, &clock);
+  if (prep.pq == nullptr) return {};
+  const PreparedQuery* pq = prep.pq.get();
+  std::vector<int> order(static_cast<size_t>(pq->num_tables()));
+  for (size_t t = 0; t < order.size(); ++t) order[t] = static_cast<int>(t);
+  ResultSet replayed(pq->num_tables());
+  EXPECT_TRUE(
+      ExecuteForcedOrder(*pq, order, ForcedExecOptions{}, &replayed).completed);
+  std::vector<PosTuple> out = replayed.ToVector();
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// The JOB workload, generated once: small enough for the TSan job, large
+/// enough that Skinner-C re-emits tuples on q05a/q06a/q08a.
+Database* JobDb() {
+  static Database* db = [] {
+    auto* d = new Database;
+    bench::JobSpec spec;
+    spec.num_titles = 600;
+    EXPECT_TRUE(bench::GenerateJob(d, spec).ok());
+    return d;
+  }();
+  return db;
+}
+
+const bench::JobWorkload& Job() {
+  static const bench::JobWorkload workload = bench::JobQueries();
+  return workload;
+}
+
+const std::string& JobSql(const std::string& name) {
+  const bench::JobWorkload& w = Job();
+  auto it = std::find(w.names.begin(), w.names.end(), name);
+  EXPECT_NE(it, w.names.end()) << name;
+  return w.queries[static_cast<size_t>(it - w.names.begin())];
 }
 
 class ParallelTortureTest
@@ -99,7 +138,7 @@ TEST_P(ParallelTortureTest, ThreadCountsAgreeBitIdentical) {
   ASSERT_TRUE(inst.ok()) << inst.status().ToString();
 
   // A small budget forces many slices (and frontier-based re-emission,
-  // which the dedup set must absorb identically for every thread count).
+  // which the export must deduplicate identically for every thread count).
   for (int64_t budget : {7, 500}) {
     RunOutput base = RunSkinnerC(&db, inst.value().sql, 1, budget);
     ASSERT_FALSE(base.timed_out);
@@ -167,29 +206,41 @@ std::string SkewedChainSql(int num_tables) {
 }
 
 TEST(SkewedStealingTest, ThreadCountsAndModesAgreeBitIdentical) {
-  Database db;
-  BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/4, /*tail_rows=*/70);
-  const std::string sql = SkewedChainSql(4);
+  Database skewed;
+  BuildSkewedDb(&skewed, 4, /*hot_keys=*/4, /*hot_fanout=*/4,
+                /*tail_rows=*/70);
+  struct Input {
+    std::string name;
+    Database* db;
+    std::string sql;
+  };
+  std::vector<Input> inputs = {{"skewed", &skewed, SkewedChainSql(4)}};
+  // The JOB queries with the most re-emission: Skinner-C appends every
+  // emit and must drop the duplicates at export.
+  for (const char* name : {"q05a", "q06a", "q08a"}) {
+    inputs.push_back({name, JobDb(), JobSql(name)});
+  }
 
-  // Tiny budgets force many slices, chunk suspensions mid-hot-region,
-  // frontier-based re-emission, and lots of steals near the endgame.
-  for (int64_t budget : {7, 300}) {
-    RunOutput base = RunSkinnerC(&db, sql, 1, budget);
-    ASSERT_FALSE(base.timed_out);
-    ASSERT_GT(base.result_tuples, 0u);
-    for (int threads : {2, 4, 8}) {
-      RunOutput steal = RunSkinnerC(&db, sql, threads, budget,
-                                    ParallelMode::kChunkStealing);
-      ASSERT_FALSE(steal.timed_out);
-      EXPECT_EQ(base.result_tuples, steal.result_tuples)
-          << "steal threads=" << threads << " budget=" << budget;
-      EXPECT_EQ(base.tuples, steal.tuples)
-          << "steal threads=" << threads << " budget=" << budget;
-      RunOutput stripe = RunSkinnerC(&db, sql, threads, budget,
-                                     ParallelMode::kStaticStripe);
-      ASSERT_FALSE(stripe.timed_out);
-      EXPECT_EQ(base.tuples, stripe.tuples)
-          << "stripe threads=" << threads << " budget=" << budget;
+  for (const Input& in : inputs) {
+    const std::vector<PosTuple> want = ForcedReplaySorted(in.db, in.sql);
+    ASSERT_FALSE(want.empty()) << in.name;
+    // Tiny budgets force many slices, chunk suspensions mid-hot-region,
+    // frontier-based re-emission, and lots of steals near the endgame.
+    for (int64_t budget : {7, 300}) {
+      for (int threads : {1, 2, 4, 8}) {
+        for (ParallelMode mode :
+             {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
+          if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
+          RunOutput got = RunSkinnerC(in.db, in.sql, threads, budget, mode);
+          const std::string where =
+              in.name + " budget=" + std::to_string(budget) +
+              " threads=" + std::to_string(threads) +
+              " stripe=" + std::to_string(mode == ParallelMode::kStaticStripe);
+          ASSERT_FALSE(got.timed_out) << where;
+          EXPECT_EQ(got.result_tuples, want.size()) << where;
+          EXPECT_EQ(got.tuples, want) << where;
+        }
+      }
     }
   }
 }
@@ -277,123 +328,30 @@ TEST(ParallelSkinnerApiTest, RandomQueriesAgreeAcrossThreadCounts) {
   }
 }
 
-// The JOB workload, generated once per suite: small enough for the TSan
-// job, large enough that Skinner-C re-emits tuples on q05a/q06a/q08a.
-class JobSkinnerCTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database;
-    bench::JobSpec spec;
-    spec.num_titles = 600;
-    ASSERT_TRUE(bench::GenerateJob(db_, spec).ok());
-    workload_ = new bench::JobWorkload(bench::JobQueries());
-  }
-  static void TearDownTestSuite() {
-    delete workload_;
-    workload_ = nullptr;
-    delete db_;
-    db_ = nullptr;
-  }
-
-  static const std::string& Sql(const std::string& name) {
-    auto it = std::find(workload_->names.begin(), workload_->names.end(), name);
-    EXPECT_NE(it, workload_->names.end()) << name;
-    return workload_->queries[static_cast<size_t>(
-        it - workload_->names.begin())];
-  }
-
-  static Database* db_;
-  static bench::JobWorkload* workload_;
-};
-
-Database* JobSkinnerCTest::db_ = nullptr;
-bench::JobWorkload* JobSkinnerCTest::workload_ = nullptr;
-
-// Skinner-C appends every emit, duplicates included, into per-worker
-// buffers and removes duplicates once at export. On the JOB queries with
-// the most re-emission, the export must equal the sorted distinct result
-// of a forced replay of the query, at every budget, thread count and
-// parallel mode, and result_tuples must count exactly those rows.
-TEST_F(JobSkinnerCTest, DuplicateHeavyQueriesMatchForcedReplay) {
-  uint64_t emitted_total = 0;
-  uint64_t result_total = 0;
-  for (const char* name : {"q05a", "q06a", "q08a"}) {
-    const std::string& sql = Sql(name);
-    VirtualClock clock;
-    Prepared prep = PrepareSql(db_, sql, &clock);
-    ASSERT_NE(prep.pq, nullptr) << name;
-    const PreparedQuery* pq = prep.pq.get();
-    std::vector<int> order(static_cast<size_t>(pq->num_tables()));
-    for (size_t t = 0; t < order.size(); ++t) order[t] = static_cast<int>(t);
-    ResultSet replayed(pq->num_tables());
-    ASSERT_TRUE(ExecuteForcedOrder(*pq, order, ForcedExecOptions{}, &replayed)
-                    .completed);
-    std::vector<PosTuple> want = replayed.ToVector();
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    ASSERT_FALSE(want.empty()) << name;
-
-    for (int64_t budget : {3, 500}) {
-      for (int threads : {1, 2, 4, 8}) {
-        for (ParallelMode mode :
-             {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
-          if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
-          RunOutput got = RunSkinnerC(db_, sql, threads, budget, mode);
-          const std::string where = std::string(name) + " budget=" +
-                                    std::to_string(budget) + " threads=" +
-                                    std::to_string(threads) + " stripe=" +
-                                    std::to_string(
-                                        mode == ParallelMode::kStaticStripe);
-          ASSERT_FALSE(got.timed_out) << where;
-          EXPECT_EQ(got.tuples, want) << where;
-          EXPECT_EQ(got.result_tuples, want.size()) << where;
-          EXPECT_GE(got.emitted_tuples, got.result_tuples) << where;
-          emitted_total += got.emitted_tuples;
-          result_total += got.result_tuples;
-        }
-      }
-    }
-  }
-  // The duplicate path was exercised: some emits were dropped at export.
-  EXPECT_GT(emitted_total, result_total);
-}
-
-// The reported final order is one that ran: on every JOB query it is the
-// key of order_selections with the most slices, and two runs with one seed
-// report the same order. Under chunk stealing the slice sequence itself
-// depends on which worker claims which chunk, so there only the first
-// property can hold; static stripes at 4 threads pin the second.
-TEST_F(JobSkinnerCTest, FinalOrderIsAnOrderThatRan) {
-  for (size_t q = 0; q < workload_->queries.size(); ++q) {
-    const std::string& name = workload_->names[q];
+// The reported final order is one that ran: on every JOB query it is a
+// key of order_selections. At one thread, two runs with one seed report
+// the same order; at more, the slice sequence depends on which worker
+// claims which chunk, so only the first property is checked there.
+TEST(JobSkinnerCTest, FinalOrderIsAnOrderThatRan) {
+  const bench::JobWorkload& w = Job();
+  for (size_t q = 0; q < w.queries.size(); ++q) {
     for (int threads : {1, 4}) {
-      for (ParallelMode mode :
-           {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
-        if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
-        const std::string where =
-            name + " threads=" + std::to_string(threads) +
-            " stripe=" + std::to_string(mode == ParallelMode::kStaticStripe);
-        ExecOptions opts;
-        opts.engine = EngineKind::kSkinnerC;
-        opts.skinner_threads = threads;
-        opts.skinner_parallel_mode = mode;
-        auto first = db_->Query(workload_->queries[q], opts);
-        auto second = db_->Query(workload_->queries[q], opts);
-        ASSERT_TRUE(first.ok() && second.ok()) << where;
-        for (const ExecutionStats* s :
-             {&first.value().stats, &second.value().stats}) {
-          ASSERT_EQ(s->order_selections.count(s->join_order), 1u) << where;
-          uint64_t most = 0;
-          for (const auto& [order, n] : s->order_selections) {
-            most = std::max(most, n);
-          }
-          EXPECT_EQ(s->order_selections.at(s->join_order), most) << where;
-        }
-        if (threads == 1 || mode == ParallelMode::kStaticStripe) {
-          EXPECT_EQ(first.value().stats.join_order,
-                    second.value().stats.join_order)
-              << where;
-        }
+      const std::string where =
+          w.names[q] + " threads=" + std::to_string(threads);
+      ExecOptions opts;
+      opts.engine = EngineKind::kSkinnerC;
+      opts.skinner_threads = threads;
+      auto first = JobDb()->Query(w.queries[q], opts);
+      auto second = JobDb()->Query(w.queries[q], opts);
+      ASSERT_TRUE(first.ok() && second.ok()) << where;
+      for (const ExecutionStats* s :
+           {&first.value().stats, &second.value().stats}) {
+        EXPECT_EQ(s->order_selections.count(s->join_order), 1u) << where;
+      }
+      if (threads == 1) {
+        EXPECT_EQ(first.value().stats.join_order,
+                  second.value().stats.join_order)
+            << where;
       }
     }
   }
