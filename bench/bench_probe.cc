@@ -233,7 +233,6 @@ int main() {
   ExecOptions opts;
   opts.engine = EngineKind::kSkinnerC;
   opts.skinner_threads = 4;
-  opts.skinner_parallel_mode = ParallelMode::kChunkStealing;
   uint64_t chunk_splits = 0;
   uint64_t skew_cost = 0;
   auto out = db.Query(

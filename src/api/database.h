@@ -49,13 +49,9 @@ struct ExecOptions {
   RewardKind reward = RewardKind::kWeightedProgress;
   bool collect_trace = false;
   /// Search-parallel Skinner-C workers (paper Section 4.4): disjoint
-  /// pieces of the leftmost table's range executed under one shared UCT
-  /// tree. 1 = sequential.
+  /// chunks of the leftmost table's range, claimed with work stealing and
+  /// executed under one shared UCT tree. 1 = sequential.
   int skinner_threads = 1;
-  /// Work distribution for skinner_threads > 1: dynamic chunk queue with
-  /// work stealing + shared offset publication (default), or the static
-  /// per-table stripes kept as the regression/benchmark baseline.
-  ParallelMode skinner_parallel_mode = ParallelMode::kChunkStealing;
 
   // Skinner-G / Skinner-H.
   int batches_per_table = 10;

@@ -188,8 +188,7 @@ class JoinCursor {
 /// (skinner/progress.h owns the writable side). The join loop consults
 /// the view on every descend so any worker can skip position ranges that
 /// any worker — itself included — has already exhausted, instead of
-/// rescanning from offset 0 (the T>1 regression of the static-stripe
-/// design).
+/// rescanning from offset 0.
 ///
 /// The view is two position-sorted parallel arrays: `lo[k]` is chunk k's
 /// first position (lo[0] == 0, chunks tile [0, cardinality)), and
@@ -242,7 +241,8 @@ enum class JoinLoopExit {
 /// success, backtrack on exhaustion (paper 4.5, Algorithm 3's inner loop).
 struct MultiwayJoinSpec {
   /// Leftmost table range end: positions of order[0] in [state.pos[0],
-  /// left_to) are processed. Parallel Skinner-C gives each worker a stripe.
+  /// left_to) are processed. Parallel Skinner-C passes the claimed chunk's
+  /// end.
   int64_t left_to = 0;
   /// Per-table (table-indexed) lower bounds for descend targets: depth d>0
   /// starts at FirstCandidate(d, lower[order[d]]). nullptr = all zeros.
@@ -304,8 +304,8 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
   // Bumps a depth-d candidate past published fully-joined ranges: every
   // result tuple using such a position was already emitted when its table
   // ran as a leftmost, so re-enumerating it can only produce duplicates.
-  // No-op at depth 0, where the caller's chunk/stripe claim bounds the
-  // range, and when no publication board is attached.
+  // No-op at depth 0, where the caller's chunk claim bounds the range,
+  // and when no publication board is attached.
   auto skip_published = [&](int d, int64_t cand) -> int64_t {
     if (spec.published == nullptr || d == 0) return cand;
     const PublishedOffsets& pub =

@@ -14,11 +14,13 @@ namespace skinner {
 
 namespace {
 
-/// write() the whole buffer, retrying on EINTR/short writes.
+/// Sends the whole buffer, retrying on EINTR/short writes. MSG_NOSIGNAL: a
+/// client that hung up yields EPIPE here instead of killing the server.
 bool WriteAll(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
-    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -101,10 +103,18 @@ void TcpServer::ClientLoop(int fd) {
     return;
   }
   std::string buffer;
+  size_t scanned = 0;  // leading bytes of `buffer` known to hold no '\n'
   char chunk[4096];
   while (true) {
-    size_t nl = buffer.find('\n');
+    size_t nl = buffer.find('\n', scanned);
+    if ((nl == std::string::npos ? buffer.size() : nl) > kMaxLineBytes) {
+      WriteAll(fd, std::string("ERR ") +
+                       StatusCodeToken(StatusCode::kInvalidArgument) +
+                       " line too long\n");
+      break;
+    }
     if (nl == std::string::npos) {
+      scanned = buffer.size();
       ssize_t n = ::read(fd, chunk, sizeof(chunk));
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;  // disconnect or shutdown
@@ -113,6 +123,7 @@ void TcpServer::ClientLoop(int fd) {
     }
     std::string line = buffer.substr(0, nl);
     buffer.erase(0, nl + 1);
+    scanned = 0;
     ServerResponse resp = conn.value()->HandleLine(line);
     if (!WriteAll(fd, resp.text)) break;
     if (resp.shutdown) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,6 +25,11 @@ namespace skinner {
 /// Shutdown().
 class TcpServer {
  public:
+  /// Longest request line accepted, excluding its '\n'. A longer line is
+  /// answered with `ERR INVALID line too long` and the connection closes,
+  /// so one client cannot grow server memory without bound.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   explicit TcpServer(ServerCore* core);
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;

@@ -58,9 +58,9 @@ class ProgressTree {
 };
 
 /// Shared work-distribution and offset-publication board for parallel
-/// Skinner-C (replaces PR 2's static stripes). Every table's filtered
-/// position range [0, cardinality) is cut into chunks — the units of
-/// leftmost-table work that workers claim and steal. The layout is ragged:
+/// Skinner-C. Every table's filtered position range [0, cardinality) is
+/// cut into chunks — the units of leftmost-table work that workers claim
+/// and steal. The layout is ragged:
 /// chunks start uniform, but SplitChunk() subdivides a skew-dominated
 /// chunk's remaining range in place, so one hot chunk stops serializing
 /// the endgame of a query. Per chunk it tracks:

@@ -29,21 +29,6 @@ enum class RewardKind {
   kLeftmostFraction,
 };
 
-/// Work distribution across search workers when num_threads > 1.
-enum class ParallelMode {
-  /// Dynamic chunk queue with work stealing plus shared offset publication
-  /// (default): each table's leftmost range is cut into many small chunks;
-  /// workers claim chunks from their own block and steal from laggards'
-  /// blocks when it drains, and per-chunk completed offsets are published
-  /// through SharedProgress so any worker's descend skips ranges any
-  /// worker already exhausted.
-  kChunkStealing,
-  /// PR-2 static per-table stripes. Kept as the regression baseline the
-  /// benchmarks compare against: skew idles workers late in a query and
-  /// T>1 descends rescan from offset 0.
-  kStaticStripe,
-};
-
 struct SkinnerCOptions {
   /// Time slice budget b: outer-loop iterations of the multiway join per
   /// slice (paper default 500).
@@ -60,30 +45,12 @@ struct SkinnerCOptions {
   /// Record per-slice convergence data (paper Figure 7); costs memory.
   bool collect_trace = false;
   /// Search-parallel Skinner-C (paper Section 4.4): each slice, all worker
-  /// threads execute the same UCT-selected order on disjoint pieces of the
-  /// leftmost table, rewards are merged (averaged) into the one shared
-  /// tree, and the exported result is exact and identical (in canonical
-  /// order) for any thread count. 1 = sequential.
+  /// threads execute the same UCT-selected order on disjoint chunks of the
+  /// leftmost table, claimed from a shared queue with work stealing, and
+  /// rewards are merged (averaged) into the one shared tree. The exported
+  /// result is exact and identical (in canonical order) for any thread
+  /// count. 1 = sequential.
   int num_threads = 1;
-  /// How leftmost work is split across workers (ignored for 1 thread).
-  ParallelMode parallel_mode = ParallelMode::kChunkStealing;
-  /// Chunk-stealing granularity: each table is cut into about
-  /// chunks_per_thread * num_threads chunks...
-  int chunks_per_thread = 8;
-  /// ...but never into chunks smaller than this many positions, so claim
-  /// and publication overhead stays negligible per chunk.
-  int64_t min_chunk_rows = 16;
-  /// Chunk-stealing claim window: each slice serves at most
-  /// claim_window_per_worker * num_threads incomplete chunks, taken in
-  /// position order from the table's completion frontier. Serving from
-  /// the frontier keeps the published completed prefix contiguous (so
-  /// other orders' descents skip it) and preserves the sequential
-  /// engine's learning signal: a freshly explored leftmost table must
-  /// grind its frontier — on skew, the expensive front — instead of
-  /// harvesting easy rewards from cheap chunks anywhere in the table,
-  /// which made UCT flip between leftmost tables and re-derive every
-  /// table's expensive region. <= 0 serves every incomplete chunk.
-  int claim_window_per_worker = 2;
   /// Warm start (PreparedCache): seed the UCT tree's priors along this
   /// join order — typically the final order the signature's last execution
   /// converged to — before the first slice. The hinted path starts as the
@@ -146,8 +113,8 @@ struct SkinnerCStats {
 /// join order per slice; per-table tuple offsets plus a shared-prefix
 /// progress tree preserve and share progress across orders; rewards
 /// measure per-slice progress. With num_threads > 1 the leftmost table's
-/// range is partitioned across search workers (paper 4.4), by default
-/// through a stealable chunk queue with shared offset publication.
+/// range is partitioned across search workers (paper 4.4) through a
+/// stealable chunk queue with shared offset publication.
 class SkinnerCEngine {
  public:
   SkinnerCEngine(const PreparedQuery* pq, const SkinnerCOptions& opts);
@@ -157,30 +124,26 @@ class SkinnerCEngine {
 
   /// Runs to completion (or deadline); appends the distinct result position
   /// tuples to `out` in canonical (lexicographically sorted) order —
-  /// bit-identical for any num_threads, parallel mode, or thread schedule.
+  /// bit-identical for any num_threads or thread schedule.
   Status Run(ResultSet* out);
 
   const SkinnerCStats& stats() const { return stats_; }
 
  private:
   /// One search worker. Sequential execution is the T=1 special case whose
-  /// single worker owns every full range. The stripe/offset/progress
-  /// members carry per-worker state for the sequential and static-stripe
-  /// paths; under chunk stealing the equivalent state lives per chunk in
-  /// the shared board and workers keep only cursors, clock, and the
-  /// private result buffer.
+  /// single worker owns every full range; the offset/progress members are
+  /// its resume state. Under chunk stealing (T>1) the equivalent state
+  /// lives per chunk in the shared board and workers keep only cursors,
+  /// clock, and the private result buffer.
   struct Worker {
     int id = 0;
-    std::vector<int64_t> stripe_lo;  // per table
-    std::vector<int64_t> stripe_hi;  // per table
-    std::vector<int64_t> offset;     // per table: first not-fully-joined pos
+    std::vector<int64_t> offset;  // per table: first not-fully-joined pos
     ProgressTree progress;
     std::map<std::vector<int>, std::unique_ptr<JoinCursor>> cursors;
     VirtualClock clock;         // local; merged into the shared clock
     uint64_t merged_clock = 0;  // portion of `clock` already merged
     JoinLoopStats loop_stats;
     double slice_reward = 0;
-    bool slice_done = false;
     /// Worker-private, append-only result buffer (no locks and no dedup
     /// on the emit path): every tuple this worker emits, duplicates
     /// included. Run() merges all workers' buffers sorted-unique at export.
@@ -190,26 +153,21 @@ class SkinnerCEngine {
         : progress(num_tables), local(num_tables) {}
   };
 
-  bool stealing() const {
-    return workers_.size() > 1 &&
-           opts_.parallel_mode == ParallelMode::kChunkStealing;
-  }
-
   void InitWorkers();
   JoinCursor* CursorFor(Worker* w, const std::vector<int>& order);
-  VirtualClock* WorkerClock(Worker* w);
 
-  /// Resume state for `order` on `w`'s stripe: stored progress
+  /// Resume state for `order` on the sequential worker: stored progress
   /// fast-forwarded past the worker's offsets, or a fresh start.
   JoinState RestoreState(Worker* w, const std::vector<int>& order,
                          JoinCursor* cursor);
 
-  /// Executes one budgeted slice of `order` on `w`'s stripe via the shared
-  /// multiway-join loop; records the slice reward and completion flag.
-  /// Sequential (T=1) and static-stripe path.
-  void RunWorkerSlice(Worker* w, const std::vector<int>& order);
+  /// Executes one budgeted slice of `order` over the whole leftmost table
+  /// via the shared multiway-join loop and records the slice reward (T=1
+  /// path). Returns true once the leftmost table is exhausted, i.e. the
+  /// result is complete.
+  bool RunWorkerSlice(Worker* w, const std::vector<int>& order);
 
-  // ---- Chunk-stealing path (default for T > 1) ----
+  // ---- Chunk-stealing path (T > 1) ----
 
   /// Adaptive chunk splitting (the skew endgame): when the slice's
   /// leftmost table has fewer incomplete chunks than workers, repeatedly
@@ -247,16 +205,17 @@ class SkinnerCEngine {
   /// until the slice budget is spent or no work remains.
   void RunWorkerSliceStealing(Worker* w, const std::vector<int>& order);
 
-  double ProgressValue(const Worker& w, const std::vector<int>& order,
+  double ProgressValue(const std::vector<int>& order,
                        const JoinState& state) const;
 
   /// The slice reward potential of `state` under opts_.reward; the reward
   /// is the clamped increase of this potential over the slice.
-  double RewardPotential(const Worker& w, const std::vector<int>& order,
+  double RewardPotential(const std::vector<int>& order,
                          const JoinState& state) const;
 
   /// True once some table is fully joined as a leftmost table (=> result
-  /// complete): all stripes consumed, or all chunks published complete.
+  /// complete): the sequential worker's offset reached the table's end,
+  /// or all of its chunks are published complete.
   bool CompletedTable() const;
 
   /// Bytes of the workers' result buffers plus estimated progress-tree and
@@ -277,7 +236,6 @@ class SkinnerCEngine {
   SkinnerCOptions opts_;
   JoinOrderUct uct_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<int64_t> zero_lower_;  // descend lower bounds when T > 1
   SkinnerCStats stats_;
   bool finished_ = false;
 

@@ -57,8 +57,7 @@ Prepared PrepareSql(Database* db, const std::string& sql, VirtualClock* clock) {
 }
 
 RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
-                      int64_t slice_budget,
-                      ParallelMode mode = ParallelMode::kChunkStealing) {
+                      int64_t slice_budget) {
   RunOutput out;
   VirtualClock clock;
   Prepared prep = PrepareSql(db, sql, &clock);
@@ -68,7 +67,6 @@ RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
   SkinnerCOptions opts;
   opts.num_threads = num_threads;
   opts.slice_budget = slice_budget;
-  opts.parallel_mode = mode;
   SkinnerCEngine engine(pq, opts);
   ResultSet rs(pq->num_tables());
   EXPECT_TRUE(engine.Run(&rs).ok());
@@ -163,11 +161,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Skewed-leftmost-table torture workload for chunk stealing: the first
 // `hot_keys * hot_fanout` positions of every table carry explosive-fanout
-// keys (clustered, so they land in the first chunks / the first static
-// stripe), the tail is unique keys with fanout <= 1. Under static stripes
-// worker 0 owns all the expensive rows; under stealing its chunks get
-// redistributed — either way the bit-identical result contract must hold
-// for any thread count, budget, and mode.
+// keys (clustered, so they land in the first chunks), the tail is unique
+// keys with fanout <= 1. The hot chunks get split and stolen, and the
+// bit-identical result contract must hold for any thread count and
+// budget.
 void BuildSkewedDb(Database* db, int num_tables, int hot_keys,
                    int64_t hot_fanout, int64_t tail_rows) {
   for (int t = 0; t < num_tables; ++t) {
@@ -205,7 +202,7 @@ std::string SkewedChainSql(int num_tables) {
   return sql;
 }
 
-TEST(SkewedStealingTest, ThreadCountsAndModesAgreeBitIdentical) {
+TEST(SkewedStealingTest, ThreadCountsAgreeBitIdentical) {
   Database skewed;
   BuildSkewedDb(&skewed, 4, /*hot_keys=*/4, /*hot_fanout=*/4,
                 /*tail_rows=*/70);
@@ -228,18 +225,13 @@ TEST(SkewedStealingTest, ThreadCountsAndModesAgreeBitIdentical) {
     // frontier-based re-emission, and lots of steals near the endgame.
     for (int64_t budget : {7, 300}) {
       for (int threads : {1, 2, 4, 8}) {
-        for (ParallelMode mode :
-             {ParallelMode::kChunkStealing, ParallelMode::kStaticStripe}) {
-          if (threads == 1 && mode == ParallelMode::kStaticStripe) continue;
-          RunOutput got = RunSkinnerC(in.db, in.sql, threads, budget, mode);
-          const std::string where =
-              in.name + " budget=" + std::to_string(budget) +
-              " threads=" + std::to_string(threads) +
-              " stripe=" + std::to_string(mode == ParallelMode::kStaticStripe);
-          ASSERT_FALSE(got.timed_out) << where;
-          EXPECT_EQ(got.result_tuples, want.size()) << where;
-          EXPECT_EQ(got.tuples, want) << where;
-        }
+        RunOutput got = RunSkinnerC(in.db, in.sql, threads, budget);
+        const std::string where = in.name +
+                                  " budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_FALSE(got.timed_out) << where;
+        EXPECT_EQ(got.result_tuples, want.size()) << where;
+        EXPECT_EQ(got.tuples, want) << where;
       }
     }
   }
@@ -257,41 +249,6 @@ TEST(SkewedStealingTest, RepeatedRunsStayBitIdentical) {
   for (int rep = 0; rep < 5; ++rep) {
     RunOutput par = RunSkinnerC(&db, sql, 8, 11);
     EXPECT_EQ(base.tuples, par.tuples) << "rep=" << rep;
-  }
-}
-
-// The frontier claim window is a scheduling policy, never a correctness
-// lever: any window size (including 0 = serve every incomplete chunk)
-// must export the identical canonical tuple set.
-TEST(SkewedStealingTest, ClaimWindowSizesAgreeBitIdentical) {
-  Database db;
-  BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/4, /*tail_rows=*/70);
-  const std::string sql = SkewedChainSql(4);
-
-  auto run = [&](int threads, int window) {
-    auto bound = db.Bind(sql);
-    EXPECT_TRUE(bound.ok());
-    auto info = QueryInfo::Analyze(*bound.value());
-    VirtualClock clock;
-    auto pq = PreparedQuery::Prepare(bound.value().get(), &info.value(),
-                                     db.catalog()->string_pool(), &clock, {});
-    EXPECT_TRUE(pq.ok());
-    SkinnerCOptions opts;
-    opts.num_threads = threads;
-    opts.slice_budget = 9;
-    opts.parallel_mode = ParallelMode::kChunkStealing;
-    opts.claim_window_per_worker = window;
-    SkinnerCEngine engine(pq.value().get(), opts);
-    ResultSet rs(pq.value()->num_tables());
-    EXPECT_TRUE(engine.Run(&rs).ok());
-    return rs.ToVector();
-  };
-
-  const std::vector<PosTuple> base = run(1, 2);
-  ASSERT_GT(base.size(), 0u);
-  for (int window : {0, 1, 2, 8}) {
-    EXPECT_EQ(base, run(4, window)) << "window=" << window;
-    EXPECT_EQ(base, run(2, window)) << "window=" << window;
   }
 }
 

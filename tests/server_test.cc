@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "api/database.h"
+#include "server/tcp_server.h"
 
 namespace skinner {
 namespace {
@@ -469,6 +474,74 @@ TEST(ServerConcurrencyTest, DdlInterleavedWithQueriesIsClean) {
   });
   ddl.join();
   query.join();
+}
+
+/// A client socket connected to 127.0.0.1:`port`, or -1. Reads time out
+/// after 10 s, so a server that never answers fails the test, not hangs it.
+int ConnectLoopback(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& data) {
+  size_t off = 0;
+  while (off < data.size()) {
+    ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+/// Reads until the peer closes (`*eof` true) or a read fails (false).
+std::string ReadUntilClosed(int fd, bool* eof) {
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    out.append(buf, static_cast<size_t>(n));
+  }
+  *eof = n == 0;
+  return out;
+}
+
+// A client that never sends a newline cannot grow server memory without
+// bound: past kMaxLineBytes the server answers ERR INVALID and closes that
+// connection, and other connections are served as before.
+TEST(TcpServerTest, OverlongLineIsRejectedAndClosed) {
+  Database db;
+  ServerCore core(&db);
+  TcpServer server(&core);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, std::string(TcpServer::kMaxLineBytes + 1, 'x')));
+  bool eof = false;
+  EXPECT_EQ(ReadUntilClosed(fd, &eof), "ERR INVALID line too long\n");
+  EXPECT_TRUE(eof);
+  ::close(fd);
+
+  fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "PING\nQUIT\n"));
+  EXPECT_EQ(ReadUntilClosed(fd, &eof), "OK\nOK bye\n");
+  EXPECT_TRUE(eof);
+  ::close(fd);
+  server.Shutdown();
 }
 
 }  // namespace
