@@ -13,7 +13,9 @@
 // Every width must produce bit-identical artifacts: the surviving-row
 // vectors and the frozen Swiss-table layouts are fingerprinted and
 // compared against the sequential build (also enforced by the tier-1
-// preprocess_parallel_test).
+// preprocess_parallel_test). Parallelism runs across index jobs, one per
+// (table, column); each index's Build() is sequential, so its layout
+// cannot depend on the width.
 //
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
 //   - preprocess_speedup_4w >= 2x is the acceptance floor (also enforced

@@ -40,259 +40,133 @@ uint64_t JoinKeyOf(const Column& col, int64_t base_row) {
   return 0;
 }
 
-void HashIndex::Build(Scheduler* sched, int max_threads) {
+namespace {
+/// Build prefetch distance: the home slot of the key this many inserts
+/// ahead is prefetched, so the cache misses of a table larger than the
+/// cache overlap. Must be a power of two (ring indexing).
+constexpr size_t kBuildPrefetch = 16;
+}  // namespace
+
+void HashIndex::Rehash(const std::vector<uint64_t>& keys, size_t cap) {
+  std::vector<Slot>(cap).swap(slots_);
+  std::vector<uint8_t>(cap, 0).swap(tags_);
+  mask_ = cap - 1;
+  for (size_t id = 0; id < keys.size(); ++id) {
+    const uint64_t h = HashMix64(keys[id]);
+    size_t i = h & mask_;
+    while (tags_[i] != 0) i = (i + 1) & mask_;
+    slots_[i] = Slot{keys[id], static_cast<uint32_t>(id), 0};
+    tags_[i] = TagOf(h);
+  }
+}
+
+void HashIndex::Build() {
   if (built_) return;
   built_ = true;
-  if (staged_.empty()) {
-    num_keys_ = 0;
-    // Release any staging blocks even on the empty path so bytes() never
-    // charges the frozen index for build-time scratch.
-    staged_.Release();
+  const size_t n = staged_keys_.size();
+  if (n == 0) {
+    // Nothing to index: release any reserved staging and allocate no
+    // table, so an empty index holds no heap at all.
+    std::vector<uint64_t>().swap(staged_keys_);
+    std::vector<int32_t>().swap(staged_pos_);
     return;
   }
-  // Capacity: next power of two holding the staged pairs at or under
-  // kMaxLoadPercent occupancy (the distinct-key count is bounded by the
-  // pair count). This is the invariant that bounds every probe chain and
-  // guarantees Find() always reaches an empty tag.
   static_assert(kMaxLoadPercent == 50,
-                "capacity sizing below assumes the 50% load bound");
-  size_t cap = 16;
-  while (cap < staged_.size() * 2) cap <<= 1;
-  mask_ = cap - 1;
-  slots_.assign(cap, Slot{});
-  tags_.assign(cap, 0);
-
-  // The algorithm is chosen by the data alone: worker count must never
-  // leak into the frozen layout (bit-identity across thread counts).
-  const size_t parts = NumPartitions(cap);
-  if (parts >= 2) {
-    BuildPartitioned(cap, parts, sched, max_threads);
-  } else {
-    BuildSequential();
+                "the doubling rule below assumes the 50% load bound");
+  // Pass 1: one walk over the stream. A new key doubles the table first
+  // if it would push the load above 50%, so the final capacity is the
+  // smallest power of two >= max(16, 2 * keys). Insertion probes linearly
+  // from h & mask — the same sequence every Find path walks. Each staged
+  // key is overwritten by its key id once inserted. The table is read
+  // through locals: the tag stores are byte stores, which the compiler
+  // must assume alias the vectors' own pointers.
+  std::vector<uint64_t> keys;    // distinct keys by id (first occurrence)
+  std::vector<uint32_t> counts;  // pairs per key id
+  Rehash(keys, 16);
+  uint8_t* tags = tags_.data();
+  Slot* slots = slots_.data();
+  size_t mask = mask_;
+  uint64_t* staged = staged_keys_.data();
+  // Hashes of the next kBuildPrefetch keys, whose home slots are already
+  // prefetched (as in FindBatch).
+  uint64_t ahead[kBuildPrefetch];
+  for (size_t p = 0; p < n && p < kBuildPrefetch; ++p) {
+    ahead[p] = HashMix64(staged[p]);
   }
+  for (size_t p = 0; p < n; ++p) {
+    const uint64_t h = ahead[p & (kBuildPrefetch - 1)];
+    if (p + kBuildPrefetch < n) {
+      const uint64_t ha = HashMix64(staged[p + kBuildPrefetch]);
+      ahead[p & (kBuildPrefetch - 1)] = ha;
+      __builtin_prefetch(tags + (ha & mask), 1, 1);
+      __builtin_prefetch(slots + (ha & mask), 1, 1);
+    }
+    const uint64_t key = staged[p];
+    const uint8_t tag = TagOf(h);
+    size_t i = h & mask;
+    while (tags[i] != 0 && (tags[i] != tag || slots[i].key != key)) {
+      i = (i + 1) & mask;
+    }
+    if (tags[i] == 0) {
+      if (2 * (keys.size() + 1) > mask + 1) {
+        Rehash(keys, 2 * (mask + 1));
+        tags = tags_.data();
+        slots = slots_.data();
+        mask = mask_;
+        i = h & mask;
+        while (tags[i] != 0) i = (i + 1) & mask;
+      }
+      slots[i] = Slot{key, static_cast<uint32_t>(keys.size()), 0};
+      tags[i] = tag;
+      keys.push_back(key);
+      counts.push_back(0);
+    }
+    const uint32_t id = slots[i].offset;
+    ++counts[id];
+    staged[p] = id;
+  }
+  num_keys_ = keys.size();
+  // Pass 2: run lengths and arena offsets (prefix sum in slot order);
+  // counts becomes the scatter cursor of each key id. Branch-free, since
+  // slot occupancy is random: an empty slot (tag 0) carries key id 0,
+  // rewrites cursor[0] with its own value, and keeps offset and len 0.
+  uint32_t* cursor = counts.data();
+  uint32_t offset = 0;
+  for (size_t i = 0; i <= mask; ++i) {
+    const uint32_t used = 0u - static_cast<uint32_t>(tags[i] != 0);
+    const uint32_t id = slots[i].offset;
+    const uint32_t len = cursor[id] & used;
+    cursor[id] = (offset & used) | (cursor[id] & ~used);
+    slots[i].len = len;
+    slots[i].offset = offset & used;
+    offset += len;
+  }
+  // Pass 3: scatter positions; insertion order per key is ascending, and a
+  // stable scatter preserves it, keeping every run sorted.
+  arena_.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    arena_[cursor[staged[p]]++] = staged_pos_[p];
+  }
+  std::vector<uint64_t>().swap(staged_keys_);
+  std::vector<int32_t>().swap(staged_pos_);
 #ifndef NDEBUG
-  // Swiss-table invariants, independent of which build path ran: the load
-  // bound, tag/payload agreement, and chain reachability (every occupied
-  // slot is reachable from its key's home slot over occupied slots only,
-  // or Find() would stop at an empty tag and miss it).
-  assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
-  for (size_t i = 0; i < cap; ++i) {
-    if (slots_[i].len == 0) {
-      assert(tags_[i] == 0 && "empty slot carries a non-empty tag");
+  // Swiss-table invariants: the load bound, tag/payload agreement, and
+  // chain reachability (every occupied slot is reachable from its key's
+  // home slot over occupied slots only, or Find() would stop at an empty
+  // tag and miss it).
+  assert(num_keys_ * 2 <= slots_.size() && "HashIndex load factor above 50%");
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (tags_[i] == 0) {
+      assert(slots_[i].len == 0 && "empty tag over an occupied slot");
       continue;
     }
     const uint64_t h = HashMix64(slots_[i].key);
     assert(tags_[i] == TagOf(h) && "tag does not match the slot key");
     for (size_t j = h & mask_; j != i; j = (j + 1) & mask_) {
-      assert(slots_[j].len != 0 && "probe chain crosses an empty slot");
+      assert(tags_[j] != 0 && "probe chain crosses an empty slot");
     }
   }
 #endif
-  // Release the staging blocks: the "exact heap footprint" contract of
-  // bytes() must not keep charging for scratch the index no longer needs.
-  staged_.Release();
-}
-
-void HashIndex::BuildSequential() {
-  const size_t cap = slots_.size();
-  // Pass 1: count the run length of every distinct key. Insertion probes
-  // linearly from h & mask — the same sequence every Find path walks.
-  staged_.ForEach([&](uint64_t key, int32_t pos) {
-    (void)pos;
-    const uint64_t h = HashMix64(key);
-    size_t i = h & mask_;
-    while (slots_[i].len != 0 && slots_[i].key != key) i = (i + 1) & mask_;
-    if (slots_[i].len == 0) {
-      slots_[i].key = key;
-      tags_[i] = TagOf(h);
-      ++num_keys_;
-    }
-    ++slots_[i].len;
-  });
-  assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
-  // Pass 2: assign arena offsets (prefix sum in slot order).
-  uint32_t offset = 0;
-  for (Slot& s : slots_) {
-    if (s.len == 0) continue;
-    s.offset = offset;
-    offset += s.len;
-  }
-  // Pass 3: scatter positions; insertion order per key is ascending, and a
-  // stable scatter preserves it, keeping every run sorted.
-  arena_.resize(staged_.size());
-  std::vector<uint32_t> cursor(cap, 0);
-  staged_.ForEach([&](uint64_t key, int32_t pos) {
-    size_t i = HashMix64(key) & mask_;
-    while (slots_[i].key != key) i = (i + 1) & mask_;
-    arena_[slots_[i].offset + cursor[i]] = pos;
-    ++cursor[i];
-  });
-}
-
-void HashIndex::BuildPartitioned(size_t cap, size_t parts, Scheduler* sched,
-                                 int max_threads) {
-  // Deterministic partitioned freeze. The slot array splits into `parts`
-  // contiguous home-slot ranges (cap and parts are powers of two, so the
-  // ranges are equal); every staged pair belongs to the partition of its
-  // home slot. Each phase's output is a pure function of the staged data
-  // — parallel phases write disjoint state and sequential phases run in a
-  // fixed order — so the frozen layout is bit-identical for every worker
-  // count, including fully inline execution.
-  const size_t part_slots = cap / parts;
-  const size_t num_blocks = staged_.num_blocks();
-
-  // Pass 0 (parallel over staging blocks): count pairs per (block,
-  // partition) so routing below can scatter without contention.
-  std::vector<uint32_t> counts(num_blocks * parts, 0);
-  SchedParallelFor(sched, num_blocks, max_threads, [&](size_t b) {
-    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
-    const size_t n = staged_.block_size(b);
-    uint32_t* row = counts.data() + b * parts;
-    for (size_t i = 0; i < n; ++i) {
-      ++row[(HashMix64(pairs[i].first) & mask_) / part_slots];
-    }
-  });
-
-  // Pass 1 (parallel over staging blocks): route pairs into one
-  // partition-major array. Within a partition, block regions appear in
-  // block order and pairs in append order, so partition p's stream is
-  // exactly the staged stream restricted to p — per-key ascending
-  // position order is preserved.
-  struct Routed {
-    uint64_t key;
-    int32_t pos;
-  };
-  std::vector<Routed> routed(staged_.size());
-  std::vector<size_t> part_begin(parts + 1, 0);
-  std::vector<size_t> offs(num_blocks * parts);
-  {
-    size_t off = 0;
-    for (size_t p = 0; p < parts; ++p) {
-      part_begin[p] = off;
-      for (size_t b = 0; b < num_blocks; ++b) {
-        offs[b * parts + p] = off;
-        off += counts[b * parts + p];
-      }
-    }
-    part_begin[parts] = off;
-    assert(off == staged_.size());
-  }
-  SchedParallelFor(sched, num_blocks, max_threads, [&](size_t b) {
-    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
-    const size_t n = staged_.block_size(b);
-    size_t* cursor = offs.data() + b * parts;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = (HashMix64(pairs[i].first) & mask_) / part_slots;
-      routed[cursor[p]++] = {pairs[i].first, pairs[i].second};
-    }
-  });
-
-  // Pass 2 (parallel over partitions): linear-probe insert each
-  // partition's stream into its own slot range. Ranges are disjoint, so
-  // no two workers touch one slot. A probe chain reaching the range end
-  // is DEFERRED (not wrapped): whether it may continue depends on the
-  // next partition's occupancy, which is being built concurrently — the
-  // sequential spill pass below resolves all such chains in a fixed
-  // order instead.
-  std::vector<std::vector<size_t>> spill(parts);  // routed indices, in order
-  std::vector<size_t> part_keys(parts, 0);
-  SchedParallelFor(sched, parts, max_threads, [&](size_t p) {
-    const size_t end = (p + 1) * part_slots;
-    size_t keys = 0;
-    for (size_t r = part_begin[p]; r < part_begin[p + 1]; ++r) {
-      const uint64_t key = routed[r].key;
-      const uint64_t h = HashMix64(key);
-      size_t i = h & mask_;
-      for (;;) {
-        if (i == end) {
-          spill[p].push_back(r);
-          break;
-        }
-        if (slots_[i].len == 0) {
-          slots_[i].key = key;
-          tags_[i] = TagOf(h);
-          slots_[i].len = 1;
-          ++keys;
-          break;
-        }
-        if (slots_[i].key == key) {
-          ++slots_[i].len;
-          break;
-        }
-        ++i;
-      }
-    }
-    part_keys[p] = keys;
-  });
-  for (size_t p = 0; p < parts; ++p) num_keys_ += part_keys[p];
-
-  // Pass 3 (sequential): insert the spilled chains — partition order,
-  // stream order within a partition — probing the whole table with
-  // wraparound. Every partition-local placement already happened, so
-  // this order is fixed and the placements deterministic. Spills are
-  // rare: a chain must run from its home slot to a partition boundary
-  // unbroken, against the <= 50% load bound.
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t r : spill[p]) {
-      const uint64_t key = routed[r].key;
-      const uint64_t h = HashMix64(key);
-      size_t i = h & mask_;
-      while (slots_[i].len != 0 && slots_[i].key != key) i = (i + 1) & mask_;
-      if (slots_[i].len == 0) {
-        slots_[i].key = key;
-        tags_[i] = TagOf(h);
-        ++num_keys_;
-      }
-      ++slots_[i].len;
-    }
-  }
-  assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
-
-  // Pass 4 (sequential): arena offsets — prefix sum in slot order.
-  uint32_t offset = 0;
-  for (Slot& s : slots_) {
-    if (s.len == 0) continue;
-    s.offset = offset;
-    offset += s.len;
-  }
-
-  // Pass 5 (parallel over partitions, then sequential spill): stable
-  // scatter. A pair whose key stayed in-partition has its slot inside the
-  // partition's own range, so per-partition cursors never race; spilled
-  // pairs (whose slots may live anywhere) scatter afterwards in the same
-  // fixed order as pass 3. Either way each key's pairs arrive in staged
-  // order, keeping every posting run ascending.
-  arena_.resize(staged_.size());
-  std::vector<uint32_t> cursor(cap, 0);
-  SchedParallelFor(sched, parts, max_threads, [&](size_t p) {
-    const size_t end = (p + 1) * part_slots;
-    (void)end;  // assertion-only outside debug builds
-    const std::vector<size_t>& sp = spill[p];
-    size_t snext = 0;  // spill[p] is ascending: built in stream order
-    for (size_t r = part_begin[p]; r < part_begin[p + 1]; ++r) {
-      if (snext < sp.size() && sp[snext] == r) {
-        ++snext;  // spilled pair: the sequential pass below owns it
-        continue;
-      }
-      const uint64_t key = routed[r].key;
-      size_t i = HashMix64(key) & mask_;
-      while (slots_[i].len == 0 || slots_[i].key != key) {
-        ++i;
-        assert(i < end && "in-partition key not found in its own range");
-      }
-      arena_[slots_[i].offset + cursor[i]] = routed[r].pos;
-      ++cursor[i];
-    }
-  });
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t r : spill[p]) {
-      const uint64_t key = routed[r].key;
-      size_t i = HashMix64(key) & mask_;
-      while (slots_[i].len == 0 || slots_[i].key != key) i = (i + 1) & mask_;
-      arena_[slots_[i].offset + cursor[i]] = routed[r].pos;
-      ++cursor[i];
-    }
-  }
 }
 
 uint64_t HashIndex::Fingerprint() const {
@@ -431,14 +305,14 @@ std::vector<int> EquiJoinColumns(const QueryInfo& info, int t) {
 }
 
 /// Builds the frozen index of one (table, column) pair over the filtered
-/// positions; returns it with the virtual cost of the inserts. The unit of
-/// parallelism for pre-processing index builds: each call stages into its
-/// own HashIndex shard, so concurrent jobs share no growing allocation.
+/// positions; returns it with the virtual cost of the inserts (one unit
+/// per non-NULL pair). The unit of parallelism for pre-processing index
+/// builds: concurrent jobs each stage into their own HashIndex.
 std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
     const std::vector<const Table*>& tables, int t, int col,
-    const std::vector<int32_t>& filtered, Scheduler* sched = nullptr,
-    int max_threads = 1) {
+    const std::vector<int32_t>& filtered) {
   auto index = std::make_unique<HashIndex>();
+  index->Reserve(filtered.size());
   uint64_t cost = 0;
   const Column& c = tables[static_cast<size_t>(t)]->column(col);
   for (size_t p = 0; p < filtered.size(); ++p) {
@@ -446,7 +320,7 @@ std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
     index->Add(JoinKeyOf(c, filtered[p]), static_cast<int32_t>(p));
     ++cost;
   }
-  index->Build(sched, max_threads);
+  index->Build();
   return {std::move(index), cost};
 }
 
@@ -597,9 +471,7 @@ TableArtifactBuild BuildTableArtifacts(const std::vector<const Table*>& tables,
   }
   // Phase B: one job per (table, column) index, so a single wide table
   // cannot serialize the build and each worker stages into its own
-  // HashIndex shard (no contended/false-shared growing vector). Large
-  // indexes additionally run their partitioned Build phases on the same
-  // pool (nested ParallelFor; the caller participates).
+  // HashIndex. Each Build() itself is sequential.
   struct IndexJob {
     size_t slot;
     int col;
@@ -619,9 +491,8 @@ TableArtifactBuild BuildTableArtifacts(const std::vector<const Table*>& tables,
       opts.scheduler, ijobs.size(), width,
       [&](size_t i) {
         IndexJob& job = ijobs[i];
-        auto [index, cost] =
-            BuildColumnIndex(tables, ts[job.slot], job.col,
-                             built[job.slot]->filtered, opts.scheduler, width);
+        auto [index, cost] = BuildColumnIndex(tables, ts[job.slot], job.col,
+                                              built[job.slot]->filtered);
         job.index = std::move(index);
         job.cost = cost;
       },

@@ -18,80 +18,6 @@ namespace skinner {
 
 class Scheduler;
 
-/// Per-builder staging shard for HashIndex construction. Append-only
-/// (key, position) pairs stored in fixed-size heap blocks, so concurrent
-/// index builds (parallel pre-processing builds one index per worker at
-/// (table, column) granularity) never share a growing allocation: a
-/// std::vector staging area reallocates-and-copies on growth and lets hot
-/// append cursors of different workers land on one cache line, while each
-/// shard here owns its blocks outright. Frozen into the index's single
-/// contiguous postings arena by HashIndex::Build().
-class StagingShard {
- public:
-  /// 2048 pairs * 12-16 bytes ~= one 24 KiB block: large enough that
-  /// block turnover is negligible, small enough that a tiny index does not
-  /// overallocate by more than one block.
-  static constexpr size_t kBlockPairs = 2048;
-
-  void Append(uint64_t key, int32_t pos) {
-    if (size_ == blocks_.size() * kBlockPairs) {
-      blocks_.push_back(std::make_unique<Block>());
-    }
-    Block& b = *blocks_.back();
-    b.pairs[size_ % kBlockPairs] = {key, pos};
-    ++size_;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Visits every staged pair in append order.
-  template <class Fn>
-  void ForEach(Fn&& fn) const {
-    size_t remaining = size_;
-    for (const auto& block : blocks_) {
-      const size_t n = remaining < kBlockPairs ? remaining : kBlockPairs;
-      for (size_t i = 0; i < n; ++i) {
-        fn(block->pairs[i].first, block->pairs[i].second);
-      }
-      remaining -= n;
-    }
-  }
-
-  /// Block-granular random access (the partitioned Build routes staged
-  /// pairs morsel-by-morsel, one block per morsel, so workers touch
-  /// disjoint blocks). block(b) is valid for b < num_blocks().
-  size_t num_blocks() const { return (size_ + kBlockPairs - 1) / kBlockPairs; }
-  const std::pair<uint64_t, int32_t>* block(size_t b) const {
-    return blocks_[b]->pairs;
-  }
-  size_t block_size(size_t b) const {
-    const size_t remaining = size_ - b * kBlockPairs;
-    return remaining < kBlockPairs ? remaining : kBlockPairs;
-  }
-
-  /// Exact heap footprint (whole blocks; the unit of allocation).
-  size_t bytes() const {
-    return blocks_.size() * sizeof(Block) +
-           blocks_.capacity() * sizeof(std::unique_ptr<Block>);
-  }
-
-  /// Frees every block (Build() releases staging so frozen indexes stop
-  /// charging for build-time scratch).
-  void Release() {
-    std::vector<std::unique_ptr<Block>>().swap(blocks_);
-    size_ = 0;
-  }
-
- private:
-  struct Block {
-    std::pair<uint64_t, int32_t> pairs[kBlockPairs];
-  };
-
-  std::vector<std::unique_ptr<Block>> blocks_;
-  size_t size_ = 0;
-};
-
 /// Hash index over the *filtered positions* of one (table, column) pair:
 /// join key -> ascending run of positions. Built during pre-processing for
 /// every column that appears in an equality join predicate (paper 4.5:
@@ -110,15 +36,17 @@ class StagingShard {
 /// allocation-free after Build(), and safely shareable read-only across
 /// engines and worker threads.
 ///
-/// Load factor: Build() sizes the table to the next power of two holding
-/// the staged pairs at <= kMaxLoadPercent occupancy, so probe chains stay
-/// short and every probe loop is guaranteed to hit an empty tag — Find()
-/// can never spin on a full table (debug builds additionally assert a
-/// probe counter never exceeds the capacity).
+/// Load factor: Build() sizes the table by the DISTINCT keys, not the
+/// staged pairs: the capacity is the smallest power of two >= max(16,
+/// 2 * num_keys()), so occupancy stays <= kMaxLoadPercent, probe chains
+/// stay short and every probe loop is guaranteed to hit an empty tag —
+/// Find() can never spin on a full table (debug builds additionally assert
+/// a probe counter never exceeds the capacity). A column of 1M pairs over
+/// 2,500 keys gets an 8,192-slot table, not one sized for 1M keys.
 class HashIndex {
  public:
   /// Maximum occupancy enforced by Build(): capacity is at least twice the
-  /// staged pair count (distinct keys <= pairs), i.e. load <= 50%.
+  /// distinct key count, i.e. load <= 50%.
   static constexpr size_t kMaxLoadPercent = 50;
 
   /// A key's ascending position run inside the shared arena. Empty (count
@@ -139,28 +67,31 @@ class HashIndex {
   /// all adds must precede Build() — a late Add would be silently dropped.
   void Add(uint64_t key, int32_t pos) {
     assert(!built_ && "HashIndex::Add after Build() would be dropped");
-    staged_.Append(key, pos);
+    staged_keys_.push_back(key);
+    staged_pos_.push_back(pos);
+  }
+
+  /// Reserves staging for `pairs` Add() calls (an upper bound is fine:
+  /// Build() releases the staging either way).
+  void Reserve(size_t pairs) {
+    staged_keys_.reserve(pairs);
+    staged_pos_.reserve(pairs);
   }
 
   /// Freezes the staged pairs into the tag array + probe table + postings
-  /// arena. Idempotent; must be called before Find().
-  ///
-  /// Algorithm selection is a pure function of the DATA, never of the
-  /// execution width: small stagings run the classic 3-pass sequential
-  /// build; stagings large enough for >= 2 home-slot partitions run the
-  /// deterministic partitioned build (hash-partition the staged stream by
-  /// home-slot range, fill each partition's slot range independently,
-  /// spill boundary-crossing probe chains to a sequential pass), which the
-  /// scheduler overload below can execute morsel-parallel. Either way the
-  /// frozen layout — tags, slots, arena, bytes() — is bit-identical for
-  /// every worker count, because the partition count and every insertion
-  /// order within the algorithm depend only on the staged pairs.
-  void Build() { Build(nullptr, 1); }
-
-  /// As Build(), executing the partitioned phases on up to `max_threads`
-  /// workers of `sched` (caller participates; null scheduler or width 1
-  /// runs the same algorithm inline). Output is bit-identical to Build().
-  void Build(Scheduler* sched, int max_threads);
+  /// arena, then releases the staging. Idempotent; must be called before
+  /// Find(). One sequential algorithm:
+  ///  1. walk the staged stream once, inserting each new key into a table
+  ///     that doubles whenever 2 * keys would exceed its capacity (the
+  ///     known keys are re-inserted in first-occurrence order), recording
+  ///     each pair's key id and counting pairs per key;
+  ///  2. prefix-sum the run offsets in slot order;
+  ///  3. scatter the positions stably, keeping every run ascending.
+  /// The frozen layout equals inserting the distinct keys in
+  /// first-occurrence order into a table of the final capacity: a pure
+  /// function of the staged stream. Pre-processing parallelism comes only
+  /// from running one index job per (table, column) concurrently.
+  void Build();
 
   /// The ascending position run for `key` (empty if no match). A thin
   /// wrapper over the single-key scalar probe — exact pre-vectorization
@@ -191,20 +122,21 @@ class HashIndex {
   uint64_t Fingerprint() const;
 
   /// Exact heap footprint. Before Build() this is dominated by the staging
-  /// shard's blocks; Build() releases the staging blocks, so the frozen
-  /// index accounts for exactly the tag array, the probe table and the
-  /// postings arena.
+  /// arrays; Build() releases them, so the frozen index accounts for
+  /// exactly the tag array, the probe table and the postings arena.
   size_t bytes() const {
     return arena_.capacity() * sizeof(int32_t) +
            slots_.capacity() * sizeof(Slot) +
-           tags_.capacity() * sizeof(uint8_t) + staged_.bytes();
+           tags_.capacity() * sizeof(uint8_t) +
+           staged_keys_.capacity() * sizeof(uint64_t) +
+           staged_pos_.capacity() * sizeof(int32_t);
   }
 
  private:
   struct Slot {
     uint64_t key = 0;
     uint32_t offset = 0;
-    uint32_t len = 0;  // 0 = empty slot (every real key has >= 1 posting)
+    uint32_t len = 0;  // >= 1 for every real key; the tag marks emptiness
   };
 
   /// 7 hash bits with the high bit set, so a present tag is never the
@@ -241,26 +173,15 @@ class HashIndex {
     }
   }
 
-  /// Slots per home-slot partition of the partitioned build; the staged
-  /// stream is routed by home slot / kPartitionSlots. Chosen so one
-  /// partition's slot+tag region (~64 KiB slots + 4 KiB tags) stays
-  /// cache-resident while a worker fills it.
-  static constexpr size_t kPartitionSlots = size_t{1} << 12;
-  static constexpr size_t kMaxPartitions = 64;
-  /// Partition count for a capacity: a pure function of the data-derived
-  /// table size (NEVER of worker count — determinism depends on it).
-  static size_t NumPartitions(size_t cap) {
-    const size_t p = cap / kPartitionSlots;
-    return p < kMaxPartitions ? p : kMaxPartitions;
-  }
-  /// The classic 3-pass sequential freeze (small stagings).
-  void BuildSequential();
-  /// The deterministic partitioned freeze (>= 2 partitions; optionally
-  /// morsel-parallel over `sched`).
-  void BuildPartitioned(size_t cap, size_t parts, Scheduler* sched,
-                        int max_threads);
+  /// Re-homes the table at capacity `cap`: inserts `keys` (the distinct
+  /// keys by id, i.e. in first-occurrence order) into empty slots, with
+  /// Slot::offset carrying the key id until Build() turns it into the
+  /// arena offset.
+  void Rehash(const std::vector<uint64_t>& keys, size_t cap);
 
-  StagingShard staged_;  // released by Build()
+  // Staged (key, position) pairs in Add() order; released by Build().
+  std::vector<uint64_t> staged_keys_;
+  std::vector<int32_t> staged_pos_;
   std::vector<Slot> slots_;
   std::vector<uint8_t> tags_;  // one per slot
   std::vector<int32_t> arena_;
@@ -327,9 +248,9 @@ uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs, int threads);
 struct PrepareOptions {
   bool build_hash_indexes = true;
   /// Filter tables on multiple threads (paper Table 2/6: SkinnerDB
-  /// parallelizes the pre-processing step only). Morsel-granular: every
-  /// fresh table's scan splits into kFilterMorselRows ranges and every
-  /// large index build partitions, so even a single-table query scales.
+  /// parallelizes the pre-processing step only). Every fresh table's scan
+  /// splits into kFilterMorselRows ranges, and every (table, column) index
+  /// builds as its own job.
   bool parallel = false;
   /// Configured pre-processing width. The charged virtual cost is the
   /// deterministic list-scheduled makespan of the build tasks at exactly

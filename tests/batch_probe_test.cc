@@ -54,13 +54,13 @@ TEST(BatchProbeTest, RandomizedKeysWithDuplicatesAndAbsentProbes) {
 }
 
 TEST(BatchProbeTest, ForcedBucketCollisionsBuildLongProbeChains) {
-  // 24 distinct keys staged twice each -> 48 pairs -> capacity 128 (the
-  // next power of two >= 2x48). Pick every key so its hash lands in ONE
+  // 24 distinct keys staged twice each -> capacity 64 (the next power of
+  // two >= 2x24 distinct keys). Pick every key so its hash lands in ONE
   // bucket of that table: insertion builds a 24-slot linear probe chain
   // that every probe must walk. Homed at slot 5 the chain stays inside
   // the table; homed at cap - 3 it runs past slot cap - 1 and wraps to
   // slot 0, so probes must follow it through the mask.
-  constexpr size_t kCap = 128;
+  constexpr size_t kCap = 64;
   for (const uint64_t bucket : {uint64_t{5}, uint64_t{kCap - 3}}) {
     SCOPED_TRACE(testing::Message() << "home bucket " << bucket);
     std::vector<uint64_t> colliders;

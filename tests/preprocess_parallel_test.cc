@@ -1,13 +1,13 @@
 // Morsel-parallel pre-processing (paper 4.5: "pre-processing is
 // parallelized"): thread-count bit-identity of filter scans and
-// partitioned hash-index builds, the makespan cost model's sequential
-// anchor, and the PreparedCache claim-all protocol under contention.
+// concurrent per-column hash-index builds, the makespan cost model's
+// sequential anchor, and the PreparedCache claim-all protocol under
+// contention.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,84 +26,10 @@
 namespace skinner {
 namespace {
 
-// ---- hash-index build determinism -----------------------------------
-
-/// Stages n (key, position) pairs with a fixed pseudo-random key stream
-/// (positions ascending per key by construction) and freezes the index on
-/// `sched` at `threads` workers.
-std::unique_ptr<HashIndex> BuildIndex(int64_t n, int64_t domain,
-                                      Scheduler* sched, int threads) {
-  auto idx = std::make_unique<HashIndex>();
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t key = HashMix64(static_cast<uint64_t>(i)) % domain;
-    idx->Add(key, static_cast<int32_t>(i));
-  }
-  idx->Build(sched, threads);
-  return idx;
-}
-
-// 20k pairs force the partitioned algorithm (capacity 65536 => 16
-// home-slot partitions); the frozen layout must be bit-identical for
-// every worker count, including the sequential entry point.
-TEST(HashIndexParallelBuildTest, PartitionedBuildBitIdentical) {
-  const int64_t n = 20000;
-  const int64_t domain = 3001;
-  auto seq = BuildIndex(n, domain, nullptr, 1);
-  ASSERT_GT(seq->num_slots(), 0u);
-
-  Scheduler sched;
-  for (int threads : {2, 4, 8}) {
-    auto par = BuildIndex(n, domain, &sched, threads);
-    EXPECT_EQ(par->Fingerprint(), seq->Fingerprint()) << threads << " workers";
-    EXPECT_EQ(par->num_keys(), seq->num_keys());
-    EXPECT_EQ(par->num_slots(), seq->num_slots());
-  }
-
-  // Semantics against ground truth: every staged key's full ascending run,
-  // and no phantom postings for absent keys.
-  std::map<uint64_t, std::vector<int32_t>> truth;
-  for (int64_t i = 0; i < n; ++i) {
-    truth[HashMix64(static_cast<uint64_t>(i)) % domain].push_back(
-        static_cast<int32_t>(i));
-  }
-  auto par = BuildIndex(n, domain, &sched, 8);
-  EXPECT_EQ(par->num_keys(), truth.size());
-  for (const auto& [key, rows] : truth) {
-    HashIndex::Postings p = par->Find(key);
-    ASSERT_EQ(p.size(), rows.size()) << "key " << key;
-    for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(p[i], rows[i]);
-  }
-  for (uint64_t key = domain; key < static_cast<uint64_t>(domain) + 64; ++key) {
-    EXPECT_TRUE(par->Find(key).empty());
-  }
-}
-
-// Small stagings select the classic sequential algorithm whatever the
-// scheduler — algorithm choice is a function of the data, not the width.
-TEST(HashIndexParallelBuildTest, SmallIndexIdenticalWithScheduler) {
-  Scheduler sched;
-  auto seq = BuildIndex(500, 97, nullptr, 1);
-  auto par = BuildIndex(500, 97, &sched, 8);
-  EXPECT_EQ(par->Fingerprint(), seq->Fingerprint());
-}
-
-TEST(HashIndexParallelBuildTest, EmptyAndSingleKeyIndexes) {
-  Scheduler sched;
-  HashIndex empty;
-  empty.Build(&sched, 8);
-  EXPECT_EQ(empty.num_keys(), 0u);
-  EXPECT_TRUE(empty.Find(7).empty());
-
-  auto one_seq = BuildIndex(10000, 1, nullptr, 1);  // one key, 10k postings
-  auto one_par = BuildIndex(10000, 1, &sched, 8);
-  EXPECT_EQ(one_par->Fingerprint(), one_seq->Fingerprint());
-  EXPECT_EQ(one_par->Find(0).size(), 10000u);
-}
-
 // ---- pipeline pre-processing bit-identity ---------------------------
 
 /// Filter-heavy chain workload: m tables large enough for several filter
-/// morsels and partitioned index builds.
+/// morsels and concurrent index builds.
 void BuildFilterHeavyDb(Database* db, int m, int64_t rows, int64_t domain) {
   for (int t = 0; t < m; ++t) {
     const std::string name = "p" + std::to_string(t);
